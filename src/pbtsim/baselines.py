@@ -409,12 +409,11 @@ def _greedy_discover(
     """Greedy walk requiring only positive available credit; no reservations."""
     if addr is None or not emb.attached(src):
         return None, 0
-    cache: dict[int, bytes] = {}
     dist_cache: dict[NodeId, int] = {}
     path: Path = []
     cur = src
     while not addr.is_receiver(emb.coord.get(cur)):
-        nxt = next_hop(g, emb, cur, addr, 1, rng, cache, dist_cache)
+        nxt = next_hop(g, emb, cur, addr, 1, rng, dist_cache)
         if nxt is None:
             return None, len(path)
         path.append((cur, nxt))

@@ -10,6 +10,13 @@ coordinate is padded to a fixed element count and every element is keyed-
 hashed. Forwarders compare hashed prefixes, which shifts all distances by
 a constant (padding minus the receiver's depth) and therefore preserves
 the greedy next-hop ordering without revealing the coordinate.
+
+Keyed hashing is the privacy model (``hashed_prefix_len``,
+``address_distance``); the simulator's forwarders route on the plaintext
+prefix of the padded coordinate instead, which gives the same distance
+except on a 2^-128 digest collision (the embedding and routing tests check
+the two against each other). The digests are therefore computed only when
+read.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConfigError, CoordinateTooDeep, InternalError
 from .graph import CreditGraph, NodeId
@@ -75,10 +83,14 @@ class ReturnAddress:
     """
 
     key: bytes
-    hashed: tuple[bytes, ...]
     real_len: int
     elements: Coordinate
     element_bits: int = DEFAULT_ELEMENT_BITS
+
+    @cached_property
+    def hashed(self) -> tuple[bytes, ...]:
+        nbytes = (self.element_bits + 7) // 8
+        return tuple(_hash_element(self.key, e, nbytes) for e in self.elements)
 
     def is_receiver(self, coord: Coordinate | None) -> bool:
         return (
@@ -102,51 +114,24 @@ def gen_return_address(
     rng = rng if rng is not None else random.Random()
     key = rng.getrandbits(128).to_bytes(16, "big")
     padding = tuple(rng.getrandbits(element_bits) for _ in range(delta - len(c)))
-    elements = tuple(c) + padding
-    nbytes = (element_bits + 7) // 8
-    hashed = tuple(_hash_element(key, e, nbytes) for e in elements)
-    return ReturnAddress(key, hashed, len(c), elements, element_bits)
+    return ReturnAddress(key, len(c), tuple(c) + padding, element_bits)
 
 
-def hashed_prefix_len(
-    c: Coordinate, addr: ReturnAddress, cache: dict[int, bytes] | None = None
-) -> int:
-    """Longest prefix of c whose keyed hashes match the address element-wise.
-
-    The optional cache maps element -> digest for one address key; a probe
-    reuses it across neighbor comparisons since coordinates share prefixes.
-    """
-    hashed = addr.hashed
-    limit = min(len(c), len(hashed))
-    if limit == 0:
-        return 0
+def hashed_prefix_len(c: Coordinate, addr: ReturnAddress) -> int:
+    """Longest prefix of c whose keyed hashes match the address element-wise."""
     key = addr.key
     nbytes = (addr.element_bits + 7) // 8
     n = 0
-    if cache is None:
-        for j in range(limit):
-            if _hash_element(key, c[j], nbytes) != hashed[j]:
-                break
-            n += 1
-        return n
-    cache_get = cache.get
-    for j in range(limit):
-        element = c[j]
-        digest = cache_get(element)
-        if digest is None:
-            digest = _hash_element(key, element, nbytes)
-            cache[element] = digest
-        if digest != hashed[j]:
+    for element, digest in zip(c, addr.hashed):
+        if _hash_element(key, element, nbytes) != digest:
             break
         n += 1
     return n
 
 
-def address_distance(
-    c: Coordinate, addr: ReturnAddress, cache: dict[int, bytes] | None = None
-) -> int:
+def address_distance(c: Coordinate, addr: ReturnAddress) -> int:
     """Distance to the hidden receiver, shifted by the padded length."""
-    return len(c) + len(addr.hashed) - 2 * hashed_prefix_len(c, addr, cache)
+    return len(c) + len(addr.hashed) - 2 * hashed_prefix_len(c, addr)
 
 
 # ---- spanning-tree embedding ----------------------------------------------
@@ -248,6 +233,34 @@ class Embedding:
             if n in ancestors_a:
                 return up_a[: ancestors_a[n] + 1] + up_b[:j][::-1]
         raise InternalError(f"no common ancestor for {a} and {b} in tree {self.tree_index}")
+
+    def check_invariants(self) -> None:
+        """Raise InternalError unless the tree is consistent.
+
+        The landmark sits at ``()`` without a parent; every other attached
+        node has an attached parent whose coordinate plus one element is its
+        own (greedy routing's plaintext distance rests on this), so depth
+        falls by one per parent step and every chain ends at the landmark
+        without a cycle; and ``children`` holds exactly the ``parent`` links.
+        """
+        where = f"in tree {self.tree_index}"
+        if self.coord.get(self.landmark) != () or self.landmark in self.parent:
+            raise InternalError(f"landmark {self.landmark} is not the root {where}")
+        for node, coord in self.coord.items():
+            if node == self.landmark:
+                continue
+            parent_coord = self.coord.get(self.parent.get(node))
+            if not coord or parent_coord is None or coord[:-1] != parent_coord:
+                raise InternalError(
+                    f"coordinate of {node} does not extend its parent's by one element {where}"
+                )
+        if not self.parent.keys() <= self.coord.keys():
+            raise InternalError(f"detached node keeps a parent {where}")
+        expected: dict[NodeId, set[NodeId]] = {}
+        for node, parent in self.parent.items():
+            expected.setdefault(parent, set()).add(node)
+        if {p: kids for p, kids in self.children.items() if kids} != expected:
+            raise InternalError(f"children index disagrees with parent links {where}")
 
     # -- mutation --
 

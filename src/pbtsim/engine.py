@@ -247,11 +247,15 @@ def run_static(
     if not transactions:
         raise ConfigError("static mode needs a nonempty transaction list")
     seed = params.seed
-    landmarks = g.select_landmarks(params.trees, params.landmark_mode, derive_seed(seed, "landmarks"))
+    # Max-flow routing reads the graph alone, so it gets neither landmarks nor trees.
+    tree_free = policy.path_rule == "max-flow"
+    landmarks = [] if tree_free else g.select_landmarks(
+        params.trees, params.landmark_mode, derive_seed(seed, "landmarks")
+    )
     rng = random.Random(derive_seed(seed, "run"))
     executor = make_executor(policy, params.address_len, params.addr_overhead)
     metrics = RunMetrics()
-    embeddings: list[Embedding] | None = None
+    embeddings: list[Embedding] | None = [] if tree_free else None
 
     for idx, ev in enumerate(transactions):
         epoch = idx // params.epoch
@@ -389,8 +393,15 @@ def run_dynamic(
     g = g0.clone()
     seed = params.seed
     rng = random.Random(derive_seed(seed, "run"))
-    landmarks = g.select_landmarks(params.trees, params.landmark_mode, derive_seed(seed, "landmarks"))
-    embeddings = build_embeddings(g, landmarks, derive_seed(seed, "bootstrap"), params.element_bits)
+    landmarks: list[NodeId] = []
+    embeddings: list[Embedding] = []
+    if policy.path_rule != "max-flow":  # max-flow routing never reads trees
+        landmarks = g.select_landmarks(
+            params.trees, params.landmark_mode, derive_seed(seed, "landmarks")
+        )
+        embeddings = build_embeddings(
+            g, landmarks, derive_seed(seed, "bootstrap"), params.element_bits
+        )
     executor = make_executor(policy, params.address_len, params.addr_overhead)
     metrics = RunMetrics()
 

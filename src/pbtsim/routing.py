@@ -2,11 +2,16 @@
 
 A transaction of value c is split into one share per tree. Each nonzero
 share walks greedily from the sender toward the receiver's return address,
-at every hop restricted to neighbors that are strictly closer by hashed
-address distance and whose link holds enough guaranteed available credit.
+at every hop restricted to neighbors that are strictly closer by address
+distance and whose link holds enough guaranteed available credit.
 Every traversed link is reserved for the share before moving on, so
 concurrent probes can never oversubscribe a link; if any tree gets stuck,
 all reservations across all trees are rolled back.
+
+Forwarders are modelled by plaintext prefix comparison against the
+address's padded coordinate. Keyed hashing stays the privacy model
+(``embedding.address_distance``): it yields the same distance except on a
+2^-128 digest collision, which the tests check differentially.
 
 Message accounting is one message per link traversal, both for the probe
 itself and for the success/failure report travelling the reverse path
@@ -23,7 +28,8 @@ from .embedding import (
     DEFAULT_ADDRESS_LEN,
     Embedding,
     ReturnAddress,
-    address_distance,
+    address_distance,  # noqa: F401  the hashed model; bench/harness.py traces it here
+    coord_distance,
     gen_return_address,
 )
 from .errors import ConfigError, InternalError
@@ -56,45 +62,56 @@ def next_hop(
     addr: ReturnAddress,
     share: int,
     rng: random.Random,
-    cache: dict[int, bytes] | None = None,
     dist_cache: dict[NodeId, int] | None = None,
 ) -> NodeId | None:
     """Neighbor strictly closer to the address with w_A >= share, or None.
 
     With share 0 the credit constraint is vacuous and this is pure greedy
     embedding routing. Among equally-close candidates one is picked
-    uniformly at random. The caches (element hashes, per-node distances)
-    are valid for one probe within one tree and are supplied by the walk.
+    uniformly at random. The distance of coordinate c to the address is
+    ``len(c) + len(addr.elements) - 2 * k`` with k the common prefix length
+    of c and the padded coordinate ``addr.elements``, exactly
+    ``address_distance`` without its hashing. ``dist_cache`` memoises it
+    per node; it is valid for one probe within one tree and is supplied by
+    the walk.
     """
     coords = emb.coord
     cur_coord = coords.get(current)
     if cur_coord is None:
         return None
-    if cache is None:
-        cache = {}
     if dist_cache is None:
         dist_cache = {}
-    d_cur = dist_cache.get(current)
-    if d_cur is None:
-        d_cur = dist_cache[current] = address_distance(cur_coord, addr, cache)
+    target = addr.elements
+    target_len = len(target)
+    best_d = dist_cache.get(current)
+    if best_d is None:
+        best_d = dist_cache[current] = coord_distance(cur_coord, target)
     links = g._links
-    best_d = d_cur
     ties: list[NodeId] = []
     for n in g.sorted_neighbors(current):
         coord = coords.get(n)
         if coord is None:
             continue
+        d = dist_cache.get(n)
+        if d is None:  # coord_distance(coord, target), inlined on the hot path
+            k = 0
+            for x, y in zip(coord, target):
+                if x != y:
+                    break
+                k += 1
+            d = dist_cache[n] = len(coord) + target_len - 2 * k
+        # A farther neighbor can never become a candidate or a tie, so the
+        # credit lookup is skipped for it.
+        if d > best_d:
+            continue
         if share > 0:
             entry = links.get((current, n))
             if entry is None or entry[0] - entry[1] < share:
                 continue
-        d = dist_cache.get(n)
-        if d is None:
-            d = dist_cache[n] = address_distance(coord, addr, cache)
         if d < best_d:
             best_d = d
             ties = [n]
-        elif d == best_d and ties:
+        elif ties:
             ties.append(n)
     if not ties:
         return None
@@ -157,13 +174,12 @@ def route_probe(
             failed_at.append(src)
             success = False
             continue
-        cache: dict[int, bytes] = {}
         dist_cache: dict[NodeId, int] = {}
         path: Path = []
         cur = src
         stuck: NodeId | None = None
         while not addr.is_receiver(emb.coord.get(cur)):
-            nxt = next_hop(g, emb, cur, addr, share, rng, cache, dist_cache)
+            nxt = next_hop(g, emb, cur, addr, share, rng, dist_cache)
             if nxt is None:
                 stuck = cur
                 break

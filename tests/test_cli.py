@@ -1,8 +1,11 @@
+import hashlib
 import os
 
 import pytest
 
+import pbtsim.engine as engine
 from pbtsim.cli import main
+from pbtsim.graph import CreditGraph
 
 
 @pytest.fixture
@@ -173,3 +176,44 @@ def test_dynamic_mode_with_link_changes(workload, tmp_path):
     ])
     assert code == 0
     assert (out / "summary.csv").exists()
+
+
+# sha256 over ff_run0/1 transaction and epoch CSVs, in name order, as written
+# while FF still selected landmarks and built trees it never read.
+FF_C10_DIGESTS = {
+    "static": "183876e5caf4ea3fcbb76527fa35670118112d9b90190df05e43393dd3d4b5c0",
+    "dynamic": "3fe33b9f4d803460158182ddfdeb564f002396453937d4ce962146e775660e73",
+}
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+def test_ff_builds_no_trees(tmp_path, monkeypatch, mode):
+    """FF runs with landmark selection and tree building disabled, same output."""
+    snap = tmp_path / "snapshot.csv"
+    txs = tmp_path / "transactions.csv"
+    assert main([
+        "generate", "--nodes", "150", "--tx-count", "400", "--seed", "8",
+        "--snapshot-out", str(snap), "--transactions-out", str(txs),
+    ]) == 0
+    changes = tmp_path / "changes.csv"
+    changes.write_text("time,u,v,new_weight\n1000000,0,1,0\n2000000,0,5,12\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("max-flow routing needs no trees")
+
+    monkeypatch.setattr(engine, "build_embeddings", refuse)
+    monkeypatch.setattr(CreditGraph, "select_landmarks", refuse)
+    out = tmp_path / "out"
+    args = [
+        "run", "--mode", mode, "--policy", "FF",
+        "--snapshot", str(snap), "--transactions", str(txs),
+        "--out", str(out), "--runs", "2", "--seed", "3", "--epoch", "100",
+    ]
+    if mode == "dynamic":
+        args += ["--link-changes", str(changes)]
+    assert main(args) == 0
+    digest = hashlib.sha256()
+    for name, data in read_all(out).items():
+        if name.startswith("ff_run"):
+            digest.update(data)
+    assert digest.hexdigest() == FF_C10_DIGESTS[mode]

@@ -2,6 +2,7 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbtsim.credit import credit
 from pbtsim.embedding import (
@@ -13,7 +14,7 @@ from pbtsim.embedding import (
     gen_return_address,
     is_prefix,
 )
-from pbtsim.errors import ConfigError, CoordinateTooDeep
+from pbtsim.errors import ConfigError, CoordinateTooDeep, InternalError
 from pbtsim.graph import CreditGraph
 
 from conftest import random_graph
@@ -197,6 +198,61 @@ def test_address_distance_equals_shifted_coord_distance():
             u = nodes[rnd.randrange(len(nodes))]
             assert address_distance(emb.coord[u], addr) == \
                 coord_distance(emb.coord[u], emb.coord[r]) + shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    element_bits=st.sampled_from([4, 16, 128]),
+)
+def test_plaintext_distance_equals_hashed_distance(n, seed, element_bits):
+    """Greedy routing's plaintext distance to the padded coordinate equals the
+    keyed-hash distance, for every node and receiver; at 4 bits siblings
+    share elements, and both distances see the same spurious matches."""
+    emb, _ = random_tree_embedding(n, seed, element_bits)
+    rnd = random.Random(seed)
+    for r, r_coord in emb.coord.items():
+        addr = gen_return_address(r_coord, delta=12, rng=rnd, element_bits=element_bits)
+        for c in emb.coord.values():
+            assert coord_distance(c, addr.elements) == address_distance(c, addr)
+
+
+def test_check_invariants_passes_on_built_trees():
+    g = random_graph(60, 40, seed=6)
+    for emb in build_embeddings(g, [0, 7], seed=6):
+        emb.check_invariants()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda emb, v, p: emb.coord.__setitem__(v, emb.coord[v] + (1,)),
+    lambda emb, v, p: emb.coord.__setitem__(emb.landmark, (3,)),
+    lambda emb, v, p: emb.children[p].discard(v),
+    lambda emb, v, p: emb.children[v].add(p),
+    lambda emb, v, p: emb.parent.__setitem__(emb.landmark, v),
+    lambda emb, v, p: emb.coord.pop(v),
+], ids=["deep-coordinate", "landmark-coordinate", "lost-child", "extra-child",
+        "landmark-parent", "detached-parent"])
+def test_check_invariants_catches_corruption(corrupt):
+    emb, _ = random_tree_embedding(20, seed=3)
+    v = max(emb.coord, key=lambda x: len(emb.coord[x]))
+    corrupt(emb, v, emb.parent[v])
+    with pytest.raises(InternalError):
+        emb.check_invariants()
+
+
+def test_check_invariants_catches_parent_cycle():
+    emb = Embedding(0, 0, 16)
+    emb.attach(1, 0, 5)
+    emb.attach(2, 1, 6)
+    # 1 and 2 point at each other; no coordinates can be consistent with that
+    emb.children[0].discard(1)
+    emb.children[2].add(1)
+    emb.parent[1] = 2
+    emb.coord[1] = (5, 6, 5)
+    emb.coord[2] = (5, 6)
+    with pytest.raises(InternalError):
+        emb.check_invariants()
 
 
 def test_undo_journal_round_trip():

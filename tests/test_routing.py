@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbtsim.credit import credit
 from pbtsim.embedding import Embedding, address_distance, build_embeddings, gen_return_address
@@ -114,6 +115,63 @@ def test_next_hop_zero_share_is_pure_greedy(rng):
     addr = gen_return_address(emb.coord[2], 8, rng)
     assert next_hop(g, emb, 0, addr, 0, rng) == 1  # credit constraint vacuous
     assert next_hop(g, emb, 0, addr, credit(1), rng) is None
+
+
+def reference_next_hop(g, emb, current, addr, share, rng, dist_cache):
+    """next_hop as the hashed model states it: credit check, then keyed-hash distance."""
+    cur_coord = emb.coord.get(current)
+    if cur_coord is None:
+        return None
+    d_cur = dist_cache.get(current)
+    if d_cur is None:
+        d_cur = dist_cache[current] = address_distance(cur_coord, addr)
+    best_d = d_cur
+    ties = []
+    for n in g.sorted_neighbors(current):
+        coord = emb.coord.get(n)
+        if coord is None:
+            continue
+        if share > 0 and g.available(current, n) < share:
+            continue
+        d = dist_cache.get(n)
+        if d is None:
+            d = dist_cache[n] = address_distance(coord, addr)
+        if d < best_d:
+            best_d = d
+            ties = [n]
+        elif d == best_d and ties:
+            ties.append(n)
+    if not ties:
+        return None
+    return ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    element_bits=st.sampled_from([4, 16, 128]),
+    share_units=st.sampled_from([0, 1, 10, 30]),
+)
+def test_next_hop_matches_hashed_reference(seed, element_bits, share_units):
+    """Plaintext next_hop picks the hop and draws the randomness the hashed
+    reference does, from every node toward every receiver."""
+    g = random_graph(25, 30, seed=seed)
+    rnd = random.Random(seed)
+    # one-way links and partly reserved links vary the credit filter
+    for u, v in list(g._links)[::4]:
+        g.set_link(u, v, 0)
+    for u, v in list(g._links)[::3]:
+        g.reserve(u, v, min(g.weight(u, v), credit(rnd.randint(0, 20))))
+    emb = build_embeddings(g, g.select_landmarks(1, "degree"), seed, element_bits)[0]
+    share = credit(share_units)
+    for r in sorted(emb.coord):
+        addr = gen_return_address(emb.coord[r], 16, rnd, element_bits)
+        plain_cache, hashed_cache = {}, {}
+        for cur in sorted(g.nodes):
+            rng_plain, rng_hashed = random.Random(cur), random.Random(cur)
+            assert next_hop(g, emb, cur, addr, share, rng_plain, plain_cache) == \
+                reference_next_hop(g, emb, cur, addr, share, rng_hashed, hashed_cache)
+            assert rng_plain.getstate() == rng_hashed.getstate()
 
 
 # ---- route_probe ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from pbtsim.credit import credit
 from pbtsim.embedding import Embedding, build_embeddings
 from pbtsim.graph import CreditGraph
@@ -205,15 +207,9 @@ def test_periodic_rebuild_empty_graph():
 
 
 def check_embedding_invariants(g, emb):
-    for v, coord in emb.coord.items():
-        if v == emb.landmark:
-            assert coord == ()
-            continue
-        p = emb.parent[v]
-        assert emb.coord[p] == coord[:-1]
+    emb.check_invariants()
+    for v, p in emb.parent.items():
         assert p in g.neighbors(v)  # parent link exists in some direction
-        chain = emb.path_to_landmark(v)
-        assert chain[-1] == emb.landmark
 
 
 def test_invariants_and_cost_locality_under_churn():
@@ -246,3 +242,26 @@ def test_invariants_and_cost_locality_under_churn():
             bound = sum(2 * g.degree(n) for n in touched)
             assert rep.messages <= bound
             assert rep.messages >= rep.nodes_reassigned
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    element_bits=st.sampled_from([4, 128]),
+    changes=st.lists(
+        st.tuples(st.integers(0, 24), st.integers(0, 24), st.sampled_from([0, 0, 1, 5, 30])),
+        min_size=1, max_size=40,
+    ),
+)
+def test_random_link_changes_keep_tree_invariants(seed, element_bits, changes):
+    """Removals, re-creations, weight changes and joins (ids 20-24 are new
+    nodes) keep every tree consistent after each repair."""
+    g = random_graph(20, 10, seed=seed)
+    embs = build_embeddings(g, g.select_landmarks(2, "degree"), seed, element_bits)
+    rnd = random.Random(seed)
+    for u, v, units in changes:
+        if u == v:
+            continue
+        apply_change(g, embs, u, v, credit(units), rnd)
+        for emb in embs:
+            check_embedding_invariants(g, emb)
