@@ -16,9 +16,7 @@ from .embedding import (
 from .stabilization import StabilizationReport, choose_parent, on_link_change, periodic_rebuild
 from .routing import (
     ProbeResult,
-    TransactionOutcome,
     next_hop,
-    route_pay,
     route_probe,
     split_value,
 )

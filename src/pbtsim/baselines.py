@@ -7,6 +7,10 @@ landmarks, or random splitting by the sender), and a stabilization rule
 SilentWhispers is LM-MUL-PER and SpeedyMurmurs is GE-RAND-OND. The
 distributed Ford-Fulkerson policy doubles as the feasibility oracle.
 
+Each executor's ``attempt`` discovers paths, assigns credit, reserves
+along the paths and settles or rolls back, with the one greedy walk and
+the one reserve/release/commit path of ``routing``.
+
 Message accounting (one message per link traversal):
   * every policy pays 2 x hops per tree for the single physical path
     traversal (probe out plus success/failure report back); greedy
@@ -26,23 +30,25 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .embedding import Embedding, ReturnAddress
 from .errors import ConfigError, InternalError
 from .graph import CreditGraph, LinkDelta, NodeId
 from .routing import (
     Path,
-    commit_probe,
+    commit_paths,
     gen_addresses,
-    next_hop,
+    greedy_walk,
+    next_hop,  # noqa: F401  bench/harness.py traces it here
     route_probe,
+    settle,
     split_value,
 )
 
-_PATH_RULES = {"LM": "landmark-centered", "TO": "tree-only", "GE": "greedy-embedding"}
-_CREDIT_RULES = {"MUL": "mpc-min", "RAND": "random-split"}
-_STAB_RULES = {"PER": "periodic", "OND": "on-demand"}
+_PATH_RULES = ("LM", "TO", "GE")
+_CREDIT_RULES = ("MUL", "RAND")
+_STAB_RULES = ("PER", "OND")
 
 _ALIASES = {
     "SILENTWHISPERS": "LM-MUL-PER",
@@ -56,7 +62,7 @@ _ALIASES = {
 
 @dataclass(frozen=True)
 class RoutingPolicy:
-    """One cell of the comparison grid."""
+    """One grid cell by label code: LM/TO/GE/FF, then MUL/RAND and PER/OND (None for FF)."""
 
     path_rule: str
     credit_rule: str | None
@@ -64,26 +70,18 @@ class RoutingPolicy:
 
     @property
     def label(self) -> str:
-        if self.path_rule == "max-flow":
-            return "FF"
-        inv_path = {v: k for k, v in _PATH_RULES.items()}
-        inv_credit = {v: k for k, v in _CREDIT_RULES.items()}
-        inv_stab = {v: k for k, v in _STAB_RULES.items()}
-        return (
-            f"{inv_path[self.path_rule]}-{inv_credit[self.credit_rule]}"
-            f"-{inv_stab[self.stabilization_rule]}"
-        )
+        return "-".join(filter(None, (self.path_rule, self.credit_rule, self.stabilization_rule)))
 
     @property
     def on_demand(self) -> bool:
-        return self.stabilization_rule == "on-demand"
+        return self.stabilization_rule == "OND"
 
     @property
     def periodic(self) -> bool:
-        return self.stabilization_rule == "periodic"
+        return self.stabilization_rule == "PER"
 
 
-MAX_FLOW_POLICY = RoutingPolicy("max-flow", None, None)
+MAX_FLOW_POLICY = RoutingPolicy("FF", None, None)
 
 
 def parse_policy(text: str) -> RoutingPolicy:
@@ -96,7 +94,7 @@ def parse_policy(text: str) -> RoutingPolicy:
     if len(parts) != 3 or parts[0] not in _PATH_RULES or parts[1] not in _CREDIT_RULES \
             or parts[2] not in _STAB_RULES:
         raise ConfigError(f"unknown policy {text!r}")
-    return RoutingPolicy(_PATH_RULES[parts[0]], _CREDIT_RULES[parts[1]], _STAB_RULES[parts[2]])
+    return RoutingPolicy(*parts)
 
 
 def grid_policies() -> list[RoutingPolicy]:
@@ -352,22 +350,6 @@ class TxContext:
     addrs: list[ReturnAddress | None] | None = None
 
 
-class TransactionExecutor:
-    """Uniform driver interface the simulation engine runs policies through."""
-
-    def begin(
-        self, g: CreditGraph, embeddings: list[Embedding],
-        src: NodeId, dst: NodeId, value: int, rng: random.Random,
-    ) -> TxContext:
-        raise NotImplementedError
-
-    def attempt(
-        self, g: CreditGraph, embeddings: list[Embedding],
-        src: NodeId, dst: NodeId, value: int, ctx: TxContext, rng: random.Random,
-    ) -> AttemptOutcome:
-        raise NotImplementedError
-
-
 def _mpc_accounting(
     embeddings: list[Embedding], src: NodeId, dst: NodeId, include_src: bool
 ) -> tuple[int, int] | None:
@@ -402,82 +384,7 @@ def _mpc_accounting(
     return messages, collect + exchange + results
 
 
-def _greedy_discover(
-    g: CreditGraph, emb: Embedding, src: NodeId,
-    addr: ReturnAddress | None, rng: random.Random,
-) -> tuple[Path | None, int]:
-    """Greedy walk requiring only positive available credit; no reservations."""
-    if addr is None or not emb.attached(src):
-        return None, 0
-    dist_cache: dict[NodeId, int] = {}
-    path: Path = []
-    cur = src
-    while not addr.is_receiver(emb.coord.get(cur)):
-        nxt = next_hop(g, emb, cur, addr, 1, rng, dist_cache)
-        if nxt is None:
-            return None, len(path)
-        path.append((cur, nxt))
-        cur = nxt
-        if len(path) > len(g.nodes):
-            raise InternalError(f"hop budget exhausted in tree {emb.tree_index}")
-    return path, len(path)
-
-
-def _reserve_paths(
-    g: CreditGraph,
-    paths: list[Path | None],
-    shares: list[int],
-    charge_walk: bool,
-) -> tuple[bool, int, int, list[tuple[NodeId, NodeId, int]]]:
-    """Reserve each nonzero share along its path; partial walks are reported.
-
-    Returns (all ok, messages, delay contribution, reservations made).
-    Zero-share trees are skipped outright; a missing path fails the
-    attempt without messages for that tree.
-    """
-    ok = True
-    messages = 0
-    delay = 0
-    reservations: list[tuple[NodeId, NodeId, int]] = []
-    for path, share in zip(paths, shares):
-        if share == 0:
-            continue
-        if path is None:
-            ok = False
-            continue
-        hops = 0
-        for x, y in path:
-            if not g.reserve(x, y, share):
-                ok = False
-                break
-            reservations.append((x, y, share))
-            hops += 1
-        else:
-            hops = len(path)
-        if charge_walk:
-            messages += 2 * hops
-            delay = max(delay, 2 * hops)
-    return ok, messages, delay, reservations
-
-
-def _rollback(g: CreditGraph, reservations: list[tuple[NodeId, NodeId, int]]) -> None:
-    for u, v, amount in reservations:
-        g.release(u, v, amount)
-
-
-def _commit(
-    g: CreditGraph, paths: list[Path | None], shares: list[int]
-) -> tuple[list[LinkDelta], list[int]]:
-    deltas: list[LinkDelta] = []
-    lengths: list[int] = []
-    for path, share in zip(paths, shares):
-        if share > 0 and path is not None:
-            deltas.extend(g.commit_payment(path, share))
-            lengths.append(len(path))
-    return deltas, lengths
-
-
-class GreedyExecutor(TransactionExecutor):
+class GreedyExecutor:
     """Embedding-based routing (GE rows), with either credit rule."""
 
     def __init__(self, credit_rule: str, address_len: int, addr_overhead: bool):
@@ -493,24 +400,23 @@ class GreedyExecutor(TransactionExecutor):
         return ctx
 
     def attempt(self, g, embeddings, src, dst, value, ctx, rng):
-        if self.credit_rule == "random-split":
+        if self.credit_rule == "RAND":
             shares = split_value(value, len(embeddings), rng)
             probe = route_probe(g, embeddings, src, ctx.addrs, shares, rng)
-            if not probe.success:
-                return AttemptOutcome(False, probe.messages, probe.hop_delay_contribution, [], [])
-            deltas = commit_probe(g, probe, shares)
-            lengths = [len(p) for p, s in zip(probe.paths, shares) if s > 0 and p is not None]
-            return AttemptOutcome(True, probe.messages, probe.hop_delay_contribution, lengths, deltas)
+            deltas, lengths = commit_paths(g, probe.paths, shares) if probe.success else ([], [])
+            return AttemptOutcome(
+                probe.success, probe.messages, probe.hop_delay_contribution, lengths, deltas
+            )
 
-        # mpc-min: discover paths first, then let the landmarks fit shares.
+        # MUL: discover paths with share 1 first, then let the landmarks fit shares.
         messages = 0
         walk_delay = 0
         paths: list[Path | None] = []
         for emb, addr in zip(embeddings, ctx.addrs):
-            path, hops = _greedy_discover(g, emb, src, addr, rng)
-            messages += 2 * hops
-            walk_delay = max(walk_delay, 2 * hops)
-            paths.append(path)
+            path, reached = greedy_walk(g, emb, src, addr, 1, rng)
+            messages += 2 * len(path)
+            walk_delay = max(walk_delay, 2 * len(path))
+            paths.append(path if reached else None)
         acct = _mpc_accounting(embeddings, src, dst, include_src=False)
         if acct is None:
             return AttemptOutcome(False, messages, walk_delay, [], [])
@@ -519,15 +425,11 @@ class GreedyExecutor(TransactionExecutor):
         shares = mpc_min_assign(g, paths, value, rng)
         if shares is None:
             return AttemptOutcome(False, messages, delay, [], [])
-        ok, _, _, reservations = _reserve_paths(g, paths, shares, charge_walk=False)
-        if not ok:
-            _rollback(g, reservations)
-            return AttemptOutcome(False, messages, delay, [], [])
-        deltas, lengths = _commit(g, paths, shares)
-        return AttemptOutcome(True, messages, delay, lengths, deltas)
+        settled, _, deltas, lengths = settle(g, paths, shares)
+        return AttemptOutcome(settled, messages, delay, lengths, deltas)
 
 
-class StructuralExecutor(TransactionExecutor):
+class StructuralExecutor:
     """Landmark-centered and tree-only routing over fixed tree paths."""
 
     def __init__(self, path_rule: str, credit_rule: str):
@@ -535,13 +437,13 @@ class StructuralExecutor(TransactionExecutor):
         self.credit_rule = credit_rule
 
     def _paths(self, embeddings, src, dst):
-        if self.path_rule == "landmark-centered":
+        if self.path_rule == "LM":
             return landmark_paths(embeddings, src, dst)
         return tree_only_paths(embeddings, src, dst)
 
     def begin(self, g, embeddings, src, dst, value, rng):
         ctx = TxContext()
-        if self.credit_rule == "random-split":
+        if self.credit_rule == "RAND":
             # Both endpoints announce their tree positions to the landmarks.
             for emb in embeddings:
                 if emb.attached(src) and emb.attached(dst):
@@ -554,7 +456,7 @@ class StructuralExecutor(TransactionExecutor):
         paths = self._paths(embeddings, src, dst)
         messages = 0
         delay = 0
-        if self.credit_rule == "mpc-min":
+        if self.credit_rule == "MUL":
             acct = _mpc_accounting(embeddings, src, dst, include_src=True)
             if acct is None:
                 return AttemptOutcome(False, 0, 0, [], [])
@@ -565,19 +467,13 @@ class StructuralExecutor(TransactionExecutor):
                 return AttemptOutcome(False, messages, delay, [], [])
         else:
             shares = split_value(value, len(embeddings), rng)
-        ok, walk_messages, walk_delay, reservations = _reserve_paths(
-            g, paths, shares, charge_walk=True
-        )
-        messages += walk_messages
-        delay += walk_delay
-        if not ok:
-            _rollback(g, reservations)
-            return AttemptOutcome(False, messages, delay, [], [])
-        deltas, lengths = _commit(g, paths, shares)
-        return AttemptOutcome(True, messages, delay, lengths, deltas)
+        settled, hops, deltas, lengths = settle(g, paths, shares)
+        messages += 2 * sum(hops)
+        delay += 2 * max(hops, default=0)
+        return AttemptOutcome(settled, messages, delay, lengths, deltas)
 
 
-class MaxFlowExecutor(TransactionExecutor):
+class MaxFlowExecutor:
     """Distributed Ford-Fulkerson as a (costly) routing policy."""
 
     def begin(self, g, embeddings, src, dst, value, rng):
@@ -587,25 +483,21 @@ class MaxFlowExecutor(TransactionExecutor):
         result = max_flow(g, src, dst, target=value)
         if result.value < value:
             return AttemptOutcome(False, result.messages, result.delay, [], [])
-        reservations: list[tuple[NodeId, NodeId, int]] = []
-        for path, amount in result.paths:
-            for x, y in path:
-                if not g.reserve(x, y, amount):
-                    raise InternalError("max-flow decomposition oversubscribed a link")
-                reservations.append((x, y, amount))
-        deltas: list[LinkDelta] = []
-        lengths: list[int] = []
-        for path, amount in result.paths:
-            deltas.extend(g.commit_payment(path, amount))
-            lengths.append(len(path))
+        paths = [path for path, _ in result.paths]
+        settled, _, deltas, lengths = settle(g, paths, [amount for _, amount in result.paths])
+        if not settled:
+            raise InternalError("max-flow decomposition oversubscribed a link")
         return AttemptOutcome(True, result.messages, result.delay, lengths, deltas)
+
+
+Executor = GreedyExecutor | StructuralExecutor | MaxFlowExecutor
 
 
 def make_executor(
     policy: RoutingPolicy, address_len: int = 16, addr_overhead: bool = True
-) -> TransactionExecutor:
-    if policy.path_rule == "max-flow":
+) -> Executor:
+    if policy.path_rule == "FF":
         return MaxFlowExecutor()
-    if policy.path_rule == "greedy-embedding":
+    if policy.path_rule == "GE":
         return GreedyExecutor(policy.credit_rule, address_len, addr_overhead)
     return StructuralExecutor(policy.path_rule, policy.credit_rule)

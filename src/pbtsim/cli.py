@@ -20,10 +20,8 @@ from .baselines import RoutingPolicy, flow_feasible, parse_policy
 from .credit import format_credit, parse_credit
 from .engine import (
     Event,
-    LinkChangeEvent,
     RunMetrics,
     SimParams,
-    TransactionEvent,
     run_dynamic,
     run_static,
 )
@@ -230,17 +228,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     fingerprint = opts.fingerprint(workload_bytes)
 
     g = build_graph(snapshot)
-    pool = [TransactionEvent(t.time, t.value, t.src, t.dst) for t in tx_file.records]
+    pool = tx_file.records
     if opts.feasible_only:
         pool = [t for t in pool if t.src in g.nodes and t.dst in g.nodes
                 and flow_feasible(g, t.src, t.dst, t.value)]
         if not pool:
             raise ConfigError("no max-flow-feasible transactions in the pool")
-    change_events = (
-        [LinkChangeEvent(c.time, c.u, c.v, c.new_weight) for c in changes.records]
-        if changes is not None
-        else []
-    )
+    change_events = changes.records if changes is not None else []
 
     os.makedirs(opts.out, exist_ok=True)
     summary_lines = [

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .baselines import (
+    AttemptOutcome,
+    Executor,
     RoutingPolicy,
-    TransactionExecutor,
+    TxContext,
     flow_feasible,
     make_executor,
 )
@@ -36,25 +38,9 @@ from .embedding import (
 from .errors import ConfigError, InternalError
 from .graph import CreditGraph, NodeId
 from .stabilization import on_link_change, periodic_rebuild
+from .workload import LinkChangeEvent, TransactionEvent
 
 # ---- events ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransactionEvent:
-    time: int
-    value: int
-    src: NodeId
-    dst: NodeId
-
-
-@dataclass(frozen=True)
-class LinkChangeEvent:
-    time: int
-    u: NodeId
-    v: NodeId
-    new_weight: int
-
 
 Event = TransactionEvent | LinkChangeEvent
 
@@ -226,6 +212,49 @@ def _audit_settlement(ev: TransactionEvent, deltas) -> None:
             raise InternalError(f"intermediate {node} balance changed on {ev}")
 
 
+def _setup(
+    g: CreditGraph, policy: RoutingPolicy, params: SimParams, bootstrap: bool
+) -> tuple[list[NodeId], list[Embedding], random.Random, Executor]:
+    """Landmarks, initial trees (empty without bootstrap), the rng and the executor.
+
+    Max-flow routing reads the graph alone, so it gets neither landmarks nor trees.
+    """
+    landmarks: list[NodeId] = []
+    embeddings: list[Embedding] = []
+    if policy.path_rule != "FF":
+        landmarks = g.select_landmarks(
+            params.trees, params.landmark_mode, derive_seed(params.seed, "landmarks")
+        )
+        if bootstrap:
+            embeddings = build_embeddings(
+                g, landmarks, derive_seed(params.seed, "bootstrap"), params.element_bits
+            )
+    rng = random.Random(derive_seed(params.seed, "run"))
+    return landmarks, embeddings, rng, make_executor(
+        policy, params.address_len, params.addr_overhead
+    )
+
+
+def _attempt(
+    executor: Executor,
+    g: CreditGraph,
+    embeddings: list[Embedding],
+    ev: TransactionEvent,
+    ctx: TxContext,
+    rng: random.Random,
+    params: SimParams,
+    feasible: bool | None,
+    index: int,
+) -> AttemptOutcome:
+    """One attempt, checked against the oracle and, in audit mode, the ledger."""
+    out = executor.attempt(g, embeddings, ev.src, ev.dst, ev.value, ctx, rng)
+    if out.success and feasible is False:
+        raise InternalError(f"policy succeeded on max-flow-infeasible transaction {index}")
+    if out.success and params.audit:
+        _audit_settlement(ev, out.weight_deltas)
+    return out
+
+
 # ---- static mode ----------------------------------------------------------------
 
 
@@ -246,28 +275,17 @@ def run_static(
     params.validate()
     if not transactions:
         raise ConfigError("static mode needs a nonempty transaction list")
-    seed = params.seed
-    # Max-flow routing reads the graph alone, so it gets neither landmarks nor trees.
-    tree_free = policy.path_rule == "max-flow"
-    landmarks = [] if tree_free else g.select_landmarks(
-        params.trees, params.landmark_mode, derive_seed(seed, "landmarks")
-    )
-    rng = random.Random(derive_seed(seed, "run"))
-    executor = make_executor(policy, params.address_len, params.addr_overhead)
+    # Periodic policies build their first trees at the first epoch boundary.
+    landmarks, embeddings, rng, executor = _setup(g, policy, params, not policy.periodic)
     metrics = RunMetrics()
-    embeddings: list[Embedding] | None = [] if tree_free else None
 
     for idx, ev in enumerate(transactions):
         epoch = idx // params.epoch
         if policy.periodic and idx % params.epoch == 0:
             embeddings, msgs = periodic_rebuild(
-                g, landmarks, derive_seed(seed, f"rebuild:{epoch}"), params.element_bits
+                g, landmarks, derive_seed(params.seed, f"rebuild:{epoch}"), params.element_bits
             )
             metrics.epoch(epoch).stabilization_messages += msgs
-        elif embeddings is None:
-            embeddings = build_embeddings(
-                g, landmarks, derive_seed(seed, "bootstrap"), params.element_bits
-            )
         em = metrics.epoch(epoch)
         em.transactions += 1
 
@@ -287,22 +305,11 @@ def run_static(
 
         ctx = executor.begin(g, embeddings, ev.src, ev.dst, ev.value, rng)
         messages = ctx.setup_messages
-        out = None
-        used = 0
-        for _ in range(params.attempts):
-            out = executor.attempt(g, embeddings, ev.src, ev.dst, ev.value, ctx, rng)
-            used += 1
+        for used in range(1, params.attempts + 1):
+            out = _attempt(executor, g, embeddings, ev, ctx, rng, params, feasible, idx)
             messages += out.messages
             if out.success:
                 break
-        assert out is not None
-
-        if out.success and feasible is False:
-            raise InternalError(
-                f"policy succeeded on max-flow-infeasible transaction {idx}"
-            )
-        if out.success and params.audit:
-            _audit_settlement(ev, out.weight_deltas)
 
         stab = 0
         if out.weight_deltas:
@@ -336,7 +343,7 @@ def run_static(
 class _PendingTx:
     index: int
     event: TransactionEvent
-    ctx: object
+    ctx: TxContext
     attempts_done: int
     messages: int
 
@@ -391,18 +398,7 @@ def run_dynamic(
         if b.time < a.time:
             raise ConfigError("events must be sorted by time")
     g = g0.clone()
-    seed = params.seed
-    rng = random.Random(derive_seed(seed, "run"))
-    landmarks: list[NodeId] = []
-    embeddings: list[Embedding] = []
-    if policy.path_rule != "max-flow":  # max-flow routing never reads trees
-        landmarks = g.select_landmarks(
-            params.trees, params.landmark_mode, derive_seed(seed, "landmarks")
-        )
-        embeddings = build_embeddings(
-            g, landmarks, derive_seed(seed, "bootstrap"), params.element_bits
-        )
-    executor = make_executor(policy, params.address_len, params.addr_overhead)
+    landmarks, embeddings, rng, executor = _setup(g, policy, params, True)
     metrics = RunMetrics()
 
     sched = _Schedule.from_events(events, params.epoch)
@@ -442,12 +438,11 @@ def run_dynamic(
                         params.trees * g.undirected_edge_count()
                     )
                 embeddings, _ = periodic_rebuild(
-                    g, landmarks, derive_seed(seed, f"rebuild:{e}"), params.element_bits
+                    g, landmarks, derive_seed(params.seed, f"rebuild:{e}"), params.element_bits
                 )
             current_epoch = e
 
         if isinstance(item, LinkChangeEvent):
-            old = g.weight(item.u, item.v)
             delta = g.set_link(item.u, item.v, item.new_weight)
             if policy.on_demand:
                 msgs = _repair_messages(g, embeddings, [delta], rng)
@@ -456,7 +451,7 @@ def run_dynamic(
 
         if isinstance(item, TransactionEvent):
             if not _valid_endpoints(g, item):
-                pending = _PendingTx(tx_index, item, None, 0, 0)
+                pending = _PendingTx(tx_index, item, TxContext(), 0, 0)
                 tx_index += 1
                 finish(pending, False, 0, [], None)
                 continue
@@ -472,15 +467,11 @@ def run_dynamic(
             feasible = flow_feasible(g, ev.src, ev.dst, ev.value)
             if pending.attempts_done == 0 and feasible:
                 metrics.epoch(sched.epoch_of(ev.time)).oracle_feasible += 1
-        out = executor.attempt(g, embeddings, ev.src, ev.dst, ev.value, pending.ctx, rng)
+        out = _attempt(
+            executor, g, embeddings, ev, pending.ctx, rng, params, feasible, pending.index
+        )
         pending.attempts_done += 1
         pending.messages += out.messages
-        if out.success and feasible is False:
-            raise InternalError(
-                f"policy succeeded on max-flow-infeasible transaction {pending.index}"
-            )
-        if out.success and params.audit:
-            _audit_settlement(ev, out.weight_deltas)
         if out.success:
             if policy.on_demand and out.weight_deltas:
                 msgs = _repair_messages(g, embeddings, out.weight_deltas, rng)

@@ -254,10 +254,7 @@ class CreditGraph:
         Ties go to the component containing the smallest node id (components
         are discovered in ascending id order, so the first maximum wins).
         """
-        best: set[NodeId] = set()
-        for comp in self.components():
-            if len(comp) > len(best):
-                best = comp
+        best = max(self.components(), key=len, default=set())
         sub = CreditGraph()
         for v in best:
             sub.add_node(v)

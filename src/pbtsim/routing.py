@@ -1,12 +1,17 @@
-"""Payment routing: random share splitting plus greedy embedded forwarding.
+"""Payment routing: share splitting, the greedy walk, and the settlement path.
 
 A transaction of value c is split into one share per tree. Each nonzero
-share walks greedily from the sender toward the receiver's return address,
-at every hop restricted to neighbors that are strictly closer by address
-distance and whose link holds enough guaranteed available credit.
-Every traversed link is reserved for the share before moving on, so
-concurrent probes can never oversubscribe a link; if any tree gets stuck,
-all reservations across all trees are rolled back.
+share walks greedily (``greedy_walk``) from the sender toward the
+receiver's return address, at every hop restricted to neighbors that are
+strictly closer by address distance and whose link holds enough
+guaranteed available credit. Each tree's hops are reserved before the
+next tree walks, so concurrent probes can never oversubscribe a link; if
+any tree gets stuck, all reservations across all trees are rolled back.
+
+Every policy settles through ``reserve_path`` (until a hop is refused),
+``release`` and ``commit_paths``, or ``settle``, which combines them for
+paths known in advance; min-based greedy discovery is the same walk with
+share 1 and nothing reserved.
 
 Forwarders are modelled by plaintext prefix comparison against the
 address's padded coordinate. Keyed hashing stays the privacy model
@@ -118,6 +123,95 @@ def next_hop(
     return ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
 
 
+Held = list[tuple[NodeId, NodeId, int]]  # (u, v, amount) reservations to release
+
+
+def greedy_walk(
+    g: CreditGraph,
+    emb: Embedding,
+    src: NodeId,
+    addr: ReturnAddress | None,
+    share: int,
+    rng: random.Random,
+) -> tuple[Path, bool]:
+    """Walk share greedily from src toward addr; (hops taken, receiver reached).
+
+    An unattached endpoint (no address, or src outside the tree) takes no hop.
+    The walk reserves nothing. Greedy distance strictly decreases, so it never
+    revisits a node or checks a link it has taken: reserving its hops afterwards
+    equals reserving them one by one. A |V| hop budget guards the embedding.
+    """
+    if addr is None or not emb.attached(src):
+        return [], False
+    dist_cache: dict[NodeId, int] = {}
+    budget = len(g.nodes)
+    path: Path = []
+    cur = src
+    while not addr.is_receiver(emb.coord.get(cur)):
+        nxt = next_hop(g, emb, cur, addr, share, rng, dist_cache)
+        if nxt is None:
+            return path, False
+        path.append((cur, nxt))
+        cur = nxt
+        if len(path) > budget:
+            raise InternalError(f"hop budget {budget} exhausted in tree {emb.tree_index}")
+    return path, True
+
+
+def reserve_path(g: CreditGraph, path: Path, share: int, held: Held) -> bool:
+    """Reserve share on each hop in order, recording it in held; False at a refusal."""
+    for x, y in path:
+        if not g.reserve(x, y, share):
+            return False
+        held.append((x, y, share))
+    return True
+
+
+def release(g: CreditGraph, held: Held) -> None:
+    """Return every held reservation to the ledger and empty the list."""
+    for u, v, amount in held:
+        g.release(u, v, amount)
+    held.clear()
+
+
+def commit_paths(
+    g: CreditGraph, paths: list[Path | None], shares: list[int]
+) -> tuple[list[LinkDelta], list[int]]:
+    """Settle every nonzero-share path in tree order; (weight deltas, path lengths)."""
+    deltas: list[LinkDelta] = []
+    lengths: list[int] = []
+    for path, share in zip(paths, shares):
+        if share > 0 and path is not None:
+            deltas.extend(g.commit_payment(path, share))
+            lengths.append(len(path))
+    return deltas, lengths
+
+
+def settle(
+    g: CreditGraph, paths: list[Path | None], shares: list[int]
+) -> tuple[bool, list[int], list[LinkDelta], list[int]]:
+    """Reserve every nonzero share along its path, then commit all or release all.
+
+    Every tree is tried even after a refusal, as a walk up to the refused
+    hop is still paid for; a missing path with a nonzero share reserves
+    nothing. Returns (settled, hops reserved per tree, weight deltas, path
+    lengths); the last two are empty unless settled.
+    """
+    held: Held = []
+    hops: list[int] = []
+    ok = True
+    for path, share in zip(paths, shares):
+        before = len(held)
+        if share > 0:
+            ok = path is not None and reserve_path(g, path, share, held) and ok
+        hops.append(len(held) - before)
+    if not ok:
+        release(g, held)
+        return False, hops, [], []
+    deltas, lengths = commit_paths(g, paths, shares)
+    return True, hops, deltas, lengths
+
+
 @dataclass
 class ProbeResult:
     """Outcome of routing one share vector across all trees."""
@@ -127,14 +221,7 @@ class ProbeResult:
     failed_at: list[NodeId | None]
     messages: int
     hop_delay_contribution: int
-    reservations: list[tuple[NodeId, NodeId, int]] = field(default_factory=list)
-
-
-def rollback_probe(g: CreditGraph, probe: ProbeResult) -> None:
-    """Release every reservation a probe made."""
-    for u, v, amount in probe.reservations:
-        g.release(u, v, amount)
-    probe.reservations.clear()
+    reservations: Held = field(default_factory=list)
 
 
 def route_probe(
@@ -145,21 +232,19 @@ def route_probe(
     shares: list[int],
     rng: random.Random,
 ) -> ProbeResult:
-    """Walk every nonzero share toward its address, reserving as it goes.
+    """Walk every nonzero share toward its address and reserve its hops.
 
-    Trees with a zero share contribute an empty path and no messages. The
-    walk stops at the node whose coordinate matches the address's real
-    prefix in full (the receiver). Any tree failure fails the probe and
-    releases all reservations. A hop budget of |V| guards against a
-    corrupted embedding; exhausting it is an internal error since greedy
-    forwarding strictly decreases the distance every hop.
+    Trees with a zero share contribute an empty path and no messages; an
+    unattached endpoint fails its tree at src without messages. Each
+    tree's hops, a stuck tree's partial hops included, are reserved before
+    the next tree walks. Any tree failure fails the probe and releases all
+    reservations.
     """
     if not (len(addrs) == len(shares) == len(embeddings)):
         raise ConfigError("addrs, shares and embeddings must align")
-    budget = len(g.nodes)
     paths: list[Path | None] = []
     failed_at: list[NodeId | None] = []
-    reservations: list[tuple[NodeId, NodeId, int]] = []
+    held: Held = []
     messages = 0
     delay = 0
     success = True
@@ -168,54 +253,23 @@ def route_probe(
             paths.append([])
             failed_at.append(None)
             continue
-        if addr is None or not emb.attached(src):
-            # Unattached endpoint: immediate failure, no messages for this tree.
-            paths.append(None)
-            failed_at.append(src)
-            success = False
-            continue
-        dist_cache: dict[NodeId, int] = {}
-        path: Path = []
-        cur = src
-        stuck: NodeId | None = None
-        while not addr.is_receiver(emb.coord.get(cur)):
-            nxt = next_hop(g, emb, cur, addr, share, rng, dist_cache)
-            if nxt is None:
-                stuck = cur
-                break
-            if not g.reserve(cur, nxt, share):
-                raise InternalError(f"reserve failed after credit check on ({cur}, {nxt})")
-            reservations.append((cur, nxt, share))
-            path.append((cur, nxt))
-            cur = nxt
-            if len(path) > budget:
-                raise InternalError(f"hop budget {budget} exhausted in tree {emb.tree_index}")
+        path, reached = greedy_walk(g, emb, src, addr, share, rng)
+        if not reserve_path(g, path, share, held):
+            raise InternalError(f"reserve refused after a credit check in tree {emb.tree_index}")
         hops = len(path)
         messages += 2 * hops
         delay = max(delay, 2 * hops)
-        if stuck is None:
+        if reached:
             paths.append(path)
             failed_at.append(None)
         else:
             paths.append(None)
-            failed_at.append(stuck)
+            failed_at.append(path[-1][1] if path else src)
             success = False
-    result = ProbeResult(success, paths, failed_at, messages, delay, reservations)
+    result = ProbeResult(success, paths, failed_at, messages, delay, held)
     if not success:
-        rollback_probe(g, result)
+        release(g, held)
     return result
-
-
-@dataclass
-class TransactionOutcome:
-    """What one routed transaction did, for metric collection."""
-
-    success: bool
-    messages: int
-    hop_delay: int
-    path_lengths: list[int]
-    attempts_used: int
-    weight_deltas: list[LinkDelta]
 
 
 def gen_addresses(
@@ -231,59 +285,3 @@ def gen_addresses(
         else None
         for emb in embeddings
     ]
-
-
-def commit_probe(g: CreditGraph, probe: ProbeResult, shares: list[int]) -> list[LinkDelta]:
-    """Settle a successful probe: commit every nonzero-share path."""
-    deltas: list[LinkDelta] = []
-    for path, share in zip(probe.paths, shares):
-        if share > 0 and path:
-            deltas.extend(g.commit_payment(path, share))
-    probe.reservations.clear()
-    return deltas
-
-
-def route_pay(
-    g: CreditGraph,
-    embeddings: list[Embedding],
-    src: NodeId,
-    dst: NodeId,
-    c: int,
-    attempts: int,
-    rng: random.Random,
-    delta: int = DEFAULT_ADDRESS_LEN,
-    addr_overhead: bool = True,
-) -> TransactionOutcome:
-    """Route and settle one payment with immediate retries.
-
-    The receiver generates one fresh address per tree up front (modeled as
-    an out-of-band delivery of one message per tree and one delay hop,
-    configurable off). Each attempt draws a fresh share split and probes;
-    the first success commits. Failed attempts leave no trace on the graph.
-    """
-    if src == dst:
-        raise ConfigError("self-transaction rejected")
-    if c <= 0:
-        raise ConfigError("transaction value must be positive")
-    if attempts < 1:
-        raise ConfigError("need at least one attempt")
-    addrs = gen_addresses(embeddings, dst, rng, delta)
-    setup_messages = len(embeddings) if addr_overhead else 0
-    setup_delay = 1 if addr_overhead else 0
-    messages = setup_messages
-    probe: ProbeResult | None = None
-    for attempt in range(1, attempts + 1):
-        shares = split_value(c, len(embeddings), rng)
-        probe = route_probe(g, embeddings, src, addrs, shares, rng)
-        messages += probe.messages
-        if probe.success:
-            deltas = commit_probe(g, probe, shares)
-            lengths = [len(p) for p, s in zip(probe.paths, shares) if s > 0 and p is not None]
-            return TransactionOutcome(
-                True, messages, setup_delay + probe.hop_delay_contribution,
-                lengths, attempt, deltas,
-            )
-    assert probe is not None
-    return TransactionOutcome(
-        False, messages, setup_delay + probe.hop_delay_contribution, [], attempts, []
-    )

@@ -40,7 +40,7 @@ class LinkRecord:
 
 
 @dataclass(frozen=True)
-class TransactionRecord:
+class TransactionEvent:
     time: int
     value: int
     src: NodeId
@@ -48,7 +48,7 @@ class TransactionRecord:
 
 
 @dataclass(frozen=True)
-class LinkChangeRecord:
+class LinkChangeEvent:
     time: int
     u: NodeId
     v: NodeId
@@ -63,12 +63,12 @@ class SnapshotFile:
 
 @dataclass
 class TransactionFile:
-    records: list[TransactionRecord] = field(default_factory=list)
+    records: list[TransactionEvent] = field(default_factory=list)
 
 
 @dataclass
 class LinkChangeFile:
-    records: list[LinkChangeRecord] = field(default_factory=list)
+    records: list[LinkChangeEvent] = field(default_factory=list)
 
 
 # ---- parsing and serialization ------------------------------------------------
@@ -142,7 +142,7 @@ def parse_transactions(text: str) -> TransactionFile:
         if prev_time is not None and time < prev_time:
             raise ParseError("timestamps must be nondecreasing", i)
         prev_time = time
-        records.append(TransactionRecord(time, value, _parse_node(parts[2], i), _parse_node(parts[3], i)))
+        records.append(TransactionEvent(time, value, _parse_node(parts[2], i), _parse_node(parts[3], i)))
     return TransactionFile(records)
 
 
@@ -170,7 +170,7 @@ def parse_link_changes(text: str) -> LinkChangeFile:
         if prev_time is not None and time < prev_time:
             raise ParseError("timestamps must be nondecreasing", i)
         prev_time = time
-        records.append(LinkChangeRecord(time, _parse_node(parts[1], i), _parse_node(parts[2], i), weight))
+        records.append(LinkChangeEvent(time, _parse_node(parts[1], i), _parse_node(parts[2], i), weight))
     return LinkChangeFile(records)
 
 
@@ -231,33 +231,12 @@ def preprocess(
     changes = [c for c in link_changes.records if c.u != c.v]
     report["self_link_changes_removed"] = len(link_changes.records) - len(changes)
 
-    # Rule 3: giant component over rows that carry weight in some direction.
-    nodes: set[NodeId] = set()
-    adj: dict[NodeId, set[NodeId]] = {}
-    for r in rows:
-        nodes.add(r.u)
-        nodes.add(r.v)
-        if r.weight > 0:
-            adj.setdefault(r.u, set()).add(r.v)
-            adj.setdefault(r.v, set()).add(r.u)
-    giant: set[NodeId] = set()
-    seen: set[NodeId] = set()
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for n in adj.get(node, ()):
-                if n not in comp:
-                    comp.add(n)
-                    stack.append(n)
-        seen |= comp
-        if len(comp) > len(giant):
-            giant = comp
+    # Rule 3: giant component over rows that carry weight in some direction
+    # (zero-weight rows add nodes but no links); the first largest wins.
+    g = build_graph(SnapshotFile(rows))
+    giant = max(g.components(), key=len, default=set())
     kept_rows = [r for r in rows if r.u in giant and r.v in giant]
-    report["nongiant_nodes_removed"] = len(nodes) - len(giant)
+    report["nongiant_nodes_removed"] = len(g.nodes) - len(giant)
     report["nongiant_links_removed"] = len(rows) - len(kept_rows)
 
     # Rule 4: zero-weight placeholder rows (future links) are implicit.
@@ -421,5 +400,5 @@ def generate_synthetic(
         dst = endpoints[rng.randrange(len(endpoints))]
         while dst == src:
             dst = endpoints[rng.randrange(len(endpoints))]
-        txs.append(TransactionRecord(i * time_step, _log_uniform(rng, *value_range), src, dst))
+        txs.append(TransactionEvent(i * time_step, _log_uniform(rng, *value_range), src, dst))
     return SnapshotFile(records), TransactionFile(txs)

@@ -75,10 +75,9 @@ def desk_graph_and_pool(seed, pool_size, feasible_only=True):
     )
     g = build_graph(snap)
     pool = []
-    for t in txf.records:
+    for ev in txf.records:
         if len(pool) == pool_size:
             break
-        ev = TransactionEvent(t.time, t.value, t.src, t.dst)
         if not feasible_only or flow_feasible(g, ev.src, ev.dst, ev.value):
             pool.append(ev)
     return g, pool

@@ -4,6 +4,7 @@ import os
 import pytest
 
 import pbtsim.engine as engine
+from pbtsim.baselines import grid_policies
 from pbtsim.cli import main
 from pbtsim.graph import CreditGraph
 
@@ -178,34 +179,55 @@ def test_dynamic_mode_with_link_changes(workload, tmp_path):
     assert (out / "summary.csv").exists()
 
 
-# sha256 over ff_run0/1 transaction and epoch CSVs, in name order, as written
-# while FF still selected landmarks and built trees it never read.
-FF_C10_DIGESTS = {
-    "static": "183876e5caf4ea3fcbb76527fa35670118112d9b90190df05e43393dd3d4b5c0",
-    "dynamic": "3fe33b9f4d803460158182ddfdeb564f002396453937d4ce962146e775660e73",
+# c10 golden outputs: sha256 over the name and bytes of every file `pbtsim run`
+# writes (per-run CSVs and summary.csv, in name order) on the c10 workload,
+# one entry per grid policy and FF in each mode. Recorded before the
+# transaction pipeline was collapsed into one greedy walk and one
+# reserve/commit/rollback path; a refactor must leave every entry unchanged.
+GOLDEN_DIGESTS = {
+    ("LM-MUL-PER", "static"): "b9f86ab1729a6c23d30bd474c69918e5dc481d302b36d68c9482af721ec020c7",
+    ("LM-MUL-PER", "dynamic"): "5264bd6359e911698a0b89a636a9c39e0fc1edac027c0ed8d5a5e930061056c0",
+    ("LM-MUL-OND", "static"): "ef23cff5ca7a0e2b07fbc565eaa18006089d74f6c82b13ca7ee54242fc08f56b",
+    ("LM-MUL-OND", "dynamic"): "8fa5f63686e778483a5d71b1aa10cab5a312d3a08b76a0710343656539c1f739",
+    ("LM-RAND-PER", "static"): "78b02541c757218cc627eda20ebe2bab840ba4c66f4353e33ba57fef95d636e2",
+    ("LM-RAND-PER", "dynamic"): "9915f24489e49b1fe9f5fa37ebba49130ae050845a891ba085562a173301d3d7",
+    ("LM-RAND-OND", "static"): "6b7c0e9daa9e8f75d510acfa84c05de4620781971271076e7b517d380518ae62",
+    ("LM-RAND-OND", "dynamic"): "0addc54e979f222323614a0681e46c50b932a15b6e4d55eb3a6498d820754810",
+    ("GE-MUL-PER", "static"): "b773a2a477d84e51ceee5cdb74473e5504d2e1395dd0baef2dd6caa776eaab67",
+    ("GE-MUL-PER", "dynamic"): "d82c83f7302da850ed21306996de4141e05bab37e413e840fba562a41f96b121",
+    ("GE-MUL-OND", "static"): "4d5fd47195c543742e568d1a91015ac6d90bb4b65450bcb731052dd154fc0d5b",
+    ("GE-MUL-OND", "dynamic"): "6f63eff4b176460b54b8366569d8799e79dc8804ab063a693542698d4f08858b",
+    ("GE-RAND-PER", "static"): "31ca6474ced105fc482d8771d070249c89a1e835d234c8a219bf170711b6361f",
+    ("GE-RAND-PER", "dynamic"): "a17d00e9a4bfdcb1736c52fac7bb20bea415061fca4c7a49d3e8555ebe3aa28f",
+    ("GE-RAND-OND", "static"): "a2d225b93a2c3a712aed896ac437ef895eaf8d5eb0aa386712b41bb4864dfa2e",
+    ("GE-RAND-OND", "dynamic"): "803cedf2db9e40e3850553c577c3ef3c5bb97c4512f92839106ec3e640699e7e",
+    ("TO-MUL-PER", "static"): "08269cc0811d0f07a5ebb7fab63e034563e57709506885518f7501f6696e4a27",
+    ("TO-MUL-PER", "dynamic"): "df0fd3eb4e04763da5c6017c4306b33dda273cd7b3588f91c6c29bd0fab10ab3",
+    ("TO-RAND-OND", "static"): "ba7332f3d905aef79171b81ba301a339ba4be28c792cb92f9da4ffc7ee6d7a47",
+    ("TO-RAND-OND", "dynamic"): "9e6587bba1fe5c91017f59af88bdf3aa478096f31d24e6992bb1290ff91388d3",
+    ("FF", "static"): "4ca61979d30b7bf8766c8f88ca55fe9790d2822cfdc07a9eb1125754f00a7bd6",
+    ("FF", "dynamic"): "03f48b3e331da0a8299e3d77c414bbdc28a45c5433ae827f191949df58ea6732",
 }
 
 
-@pytest.mark.parametrize("mode", ["static", "dynamic"])
-def test_ff_builds_no_trees(tmp_path, monkeypatch, mode):
-    """FF runs with landmark selection and tree building disabled, same output."""
-    snap = tmp_path / "snapshot.csv"
-    txs = tmp_path / "transactions.csv"
+@pytest.fixture(scope="module")
+def c10_workload(tmp_path_factory):
+    root = tmp_path_factory.mktemp("c10")
+    snap = root / "snapshot.csv"
+    txs = root / "transactions.csv"
     assert main([
         "generate", "--nodes", "150", "--tx-count", "400", "--seed", "8",
         "--snapshot-out", str(snap), "--transactions-out", str(txs),
     ]) == 0
-    changes = tmp_path / "changes.csv"
+    changes = root / "changes.csv"
     changes.write_text("time,u,v,new_weight\n1000000,0,1,0\n2000000,0,5,12\n")
+    return snap, txs, changes
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("max-flow routing needs no trees")
 
-    monkeypatch.setattr(engine, "build_embeddings", refuse)
-    monkeypatch.setattr(CreditGraph, "select_landmarks", refuse)
-    out = tmp_path / "out"
+def c10_digest(workload, out, policy, mode):
+    snap, txs, changes = workload
     args = [
-        "run", "--mode", mode, "--policy", "FF",
+        "run", "--mode", mode, "--policy", policy,
         "--snapshot", str(snap), "--transactions", str(txs),
         "--out", str(out), "--runs", "2", "--seed", "3", "--epoch", "100",
     ]
@@ -214,6 +236,26 @@ def test_ff_builds_no_trees(tmp_path, monkeypatch, mode):
     assert main(args) == 0
     digest = hashlib.sha256()
     for name, data in read_all(out).items():
-        if name.startswith("ff_run"):
-            digest.update(data)
-    assert digest.hexdigest() == FF_C10_DIGESTS[mode]
+        digest.update(name.encode() + b"\0" + data)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+@pytest.mark.parametrize("policy", [p.label for p in grid_policies()])
+def test_golden_output(c10_workload, tmp_path, policy, mode):
+    """Every grid policy writes the recorded c10 output, byte for byte."""
+    assert c10_digest(c10_workload, tmp_path / "out", policy, mode) == \
+        GOLDEN_DIGESTS[(policy, mode)]
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+def test_ff_builds_no_trees(c10_workload, tmp_path, monkeypatch, mode):
+    """FF runs with landmark selection and tree building disabled, same output."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("max-flow routing needs no trees")
+
+    monkeypatch.setattr(engine, "build_embeddings", refuse)
+    monkeypatch.setattr(CreditGraph, "select_landmarks", refuse)
+    assert c10_digest(c10_workload, tmp_path / "out", "FF", mode) == \
+        GOLDEN_DIGESTS[("FF", mode)]

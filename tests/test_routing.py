@@ -1,22 +1,22 @@
 import math
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from pbtsim.baselines import make_executor, parse_policy
 from pbtsim.credit import credit
 from pbtsim.embedding import Embedding, address_distance, build_embeddings, gen_return_address
-from pbtsim.errors import ConfigError
+from pbtsim.engine import SimParams, run_static
 from pbtsim.graph import CreditGraph
 from pbtsim.routing import (
-    commit_probe,
     gen_addresses,
     next_hop,
-    rollback_probe,
-    route_pay,
+    release,
     route_probe,
+    settle,
     split_value,
 )
+from pbtsim.workload import TransactionEvent
 
 from conftest import random_graph
 
@@ -187,7 +187,7 @@ def test_probe_single_hop(rng):
     assert probe.paths == [[(0, 1)]]
     assert probe.messages == 2
     assert g.reserved(0, 1) == credit(2)
-    rollback_probe(g, probe)
+    release(g, probe.reservations)
     assert g.total_reserved() == 0
 
 
@@ -198,7 +198,7 @@ def test_probe_zero_share_tree_skipped(rng):
     assert probe.success
     assert probe.paths[0] == []
     assert [len(p) for p in probe.paths] == [0, 2]
-    rollback_probe(g, probe)
+    release(g, probe.reservations)
 
 
 def test_probe_failure_rolls_back_all_trees(rng):
@@ -243,7 +243,7 @@ def test_probe_greedy_progress(rng):
                 dists = [address_distance(emb.coord[x], addr) for x, _ in path]
                 dists.append(address_distance(emb.coord[path[-1][1]], addr))
                 assert all(a > b for a, b in zip(dists, dists[1:]))
-            rollback_probe(g, probe)
+            release(g, probe.reservations)
         assert g.total_reserved() == 0
 
 
@@ -257,43 +257,85 @@ def test_interleaved_probes_respect_reservations(rng):
     # probe B wants 6 but only 4 guaranteed credit remains
     probe_b = route_probe(g, embs, 0, addrs, [credit(6)], rng)
     assert not probe_b.success
-    rollback_probe(g, probe_a)
+    release(g, probe_a.reservations)
     probe_c = route_probe(g, embs, 0, addrs, [credit(6)], rng)
     assert probe_c.success
-    rollback_probe(g, probe_c)
+    release(g, probe_c.reservations)
 
 
-# ---- route_pay -------------------------------------------------------------------
+def test_settle_is_all_or_nothing():
+    g = CreditGraph()
+    g.set_link(0, 1, credit(5))
+    g.set_link(1, 2, credit(5))
+    # the second path's first hop is refused: nothing stays reserved
+    assert settle(g, [[(0, 1)], [(0, 1), (1, 2)]], [credit(3), credit(3)]) == \
+        (False, [1, 0], [], [])
+    # a missing path with a nonzero share fails; with a zero share it is skipped
+    assert settle(g, [[(0, 1)], None], [credit(1), credit(1)])[:2] == (False, [1, 0])
+    assert g.total_reserved() == 0
+    settled, hops, deltas, lengths = settle(
+        g, [[(0, 1)], None, [(0, 1), (1, 2)]], [credit(2), 0, credit(3)]
+    )
+    assert (settled, hops, lengths) == (True, [1, 0, 2], [1, 2])
+    assert len(deltas) == 6
+    assert g.weight(0, 1) == 0 and g.weight(1, 0) == credit(5)
+    assert g.total_reserved() == 0
+
+
+# ---- paying through the GE-RAND-OND executor --------------------------------------
+
+
+def route_pay(g, embs, src, dst, c, attempts, rng, addr_overhead=True):
+    """Pay c from src to dst as the engine does: begin, then attempts until one succeeds.
+
+    Returns the last attempt's outcome and the number of attempts used.
+    """
+    executor = make_executor(parse_policy("GE-RAND-OND"), addr_overhead=addr_overhead)
+    ctx = executor.begin(g, embs, src, dst, c, rng)
+    for used in range(1, attempts + 1):
+        out = executor.attempt(g, embs, src, dst, c, ctx, rng)
+        if out.success:
+            break
+    return out, used
+
+
+def test_route_pay_rejects_self_and_nonpositive(line_graph):
+    # a self-payment and a non-positive value never reach the executor: they
+    # count as failures with no messages and leave every link as it was
+    before = {(u, v): line_graph.weight(u, v) for u, v in ((0, 1), (1, 0), (1, 2), (2, 1))}
+    bad = [
+        TransactionEvent(0, credit(1), 1, 1),
+        TransactionEvent(1, 0, 0, 1),
+        TransactionEvent(2, -credit(1), 0, 1),
+    ]
+    m = run_static(line_graph, bad, parse_policy("GE-RAND-OND"), SimParams(trees=1, seed=8))
+    assert len(m.transactions) == 3
+    assert not any(t.success for t in m.transactions)
+    assert all(t.messages == 0 and t.attempts == 0 for t in m.transactions)
+    assert {k: line_graph.weight(*k) for k in before} == before
+    assert line_graph.total_reserved() == 0
 
 
 def test_route_pay_two_node_success(rng):
     g = CreditGraph()
     bi_link(g, 0, 1, w=5)
     embs = build_embeddings(g, [0], seed=7)
-    out = route_pay(g, embs, 0, 1, credit(2), attempts=1, rng=rng)
+    out, used = route_pay(g, embs, 0, 1, credit(2), attempts=1, rng=rng)
     assert out.success
     assert out.path_lengths == [1]
-    assert out.attempts_used == 1
+    assert used == 1
     assert g.weight(0, 1) == credit(3)
     assert g.weight(1, 0) == credit(7)
     assert g.total_reserved() == 0
-
-
-def test_route_pay_rejects_self_and_nonpositive(line_graph, rng):
-    embs = build_embeddings(line_graph, [0], seed=8)
-    with pytest.raises(ConfigError):
-        route_pay(line_graph, embs, 1, 1, credit(1), 1, rng)
-    with pytest.raises(ConfigError):
-        route_pay(line_graph, embs, 0, 1, 0, 1, rng)
 
 
 def test_route_pay_failure_leaves_graph_unchanged(rng):
     g, embs = two_path_embeddings()
     snapshot = {k: list(v) for k, v in g._links.items()}
     # value 11 exceeds max flow 10; every attempt must fail and roll back
-    out = route_pay(g, embs, 0, 3, credit(11), attempts=3, rng=rng)
+    out, used = route_pay(g, embs, 0, 3, credit(11), attempts=3, rng=rng)
     assert not out.success
-    assert out.attempts_used == 3
+    assert used == 3
     assert {k: list(v) for k, v in g._links.items()} == snapshot
 
 
@@ -315,9 +357,9 @@ def test_route_pay_retry_rescues_bad_split():
     for seed in range(60):
         g, embs = two_path_embeddings()
         rnd = random.Random(seed)
-        out = route_pay(g, embs, 0, 3, credit(8), attempts=2, rng=rnd,
-                        addr_overhead=False)
-        if out.success and out.attempts_used == 2:
+        out, used = route_pay(g, embs, 0, 3, credit(8), attempts=2, rng=rnd,
+                              addr_overhead=False)
+        if out.success and used == 2:
             rescued = True
             break
     assert rescued
@@ -334,7 +376,7 @@ def test_route_pay_correctness_on_random_graphs(rng):
             continue
         c = credit(rng.randint(1, 8))
         before_src, before_dst = g.net_balance(src), g.net_balance(dst)
-        out = route_pay(g, embs, src, dst, c, attempts=2, rng=rng)
+        out, _ = route_pay(g, embs, src, dst, c, attempts=2, rng=rng)
         if out.success:
             successes += 1
             assert g.net_balance(src) == before_src + 2 * c

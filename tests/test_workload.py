@@ -3,12 +3,12 @@ import pytest
 from pbtsim.credit import credit
 from pbtsim.errors import ConfigError, ParseError
 from pbtsim.workload import (
+    LinkChangeEvent,
     LinkChangeFile,
-    LinkChangeRecord,
     LinkRecord,
     SnapshotFile,
+    TransactionEvent,
     TransactionFile,
-    TransactionRecord,
     build_graph,
     format_report,
     generate_synthetic,
@@ -42,14 +42,14 @@ def test_snapshot_with_limit_column():
 
 def test_transactions_round_trip():
     f = parse_transactions(TXS)
-    assert f.records[0] == TransactionRecord(0, 1_500_000, 0, 1)
+    assert f.records[0] == TransactionEvent(0, 1_500_000, 0, 1)
     assert serialize_transactions(f) == TXS
     assert parse_transactions(serialize_transactions(f)) == f
 
 
 def test_link_changes_round_trip():
     f = parse_link_changes(CHANGES)
-    assert f.records[0] == LinkChangeRecord(5_000_000, 0, 1, 0)
+    assert f.records[0] == LinkChangeEvent(5_000_000, 0, 1, 0)
     assert serialize_link_changes(f) == CHANGES
     assert parse_link_changes(serialize_link_changes(f)) == f
 
@@ -98,15 +98,15 @@ def full_fixture():
         has_limit=True,
     )
     txs = TransactionFile([
-        TransactionRecord(0, credit(1), 0, 2),
-        TransactionRecord(1, credit(1), 4, 4),   # self transaction
-        TransactionRecord(2, credit(1), 5, 6),   # outside the giant component
-        TransactionRecord(3, credit(1), 0, 1),
+        TransactionEvent(0, credit(1), 0, 2),
+        TransactionEvent(1, credit(1), 4, 4),   # self transaction
+        TransactionEvent(2, credit(1), 5, 6),   # outside the giant component
+        TransactionEvent(3, credit(1), 0, 1),
     ])
     changes = LinkChangeFile([
-        LinkChangeRecord(0, 0, 1, credit(9)),
-        LinkChangeRecord(1, 5, 6, 0),            # outside
-        LinkChangeRecord(2, 4, 4, credit(2)),    # self entry
+        LinkChangeEvent(0, 0, 1, credit(9)),
+        LinkChangeEvent(1, 5, 6, 0),            # outside
+        LinkChangeEvent(2, 4, 4, credit(2)),    # self entry
     ])
     return snapshot, txs, changes
 
