@@ -39,7 +39,6 @@ from .engine import (
     TransactionEvent,
     relative_success,
     run_dynamic,
-    run_dynamic_with_oracle,
     run_static,
 )
 from .workload import (

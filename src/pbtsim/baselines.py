@@ -5,7 +5,10 @@ greedy embedding), a credit rule (min-based assignment computed by the
 landmarks, or random splitting by the sender), and a stabilization rule
 (periodic rebuilds or on-demand repair). Two named settings are aliases:
 SilentWhispers is LM-MUL-PER and SpeedyMurmurs is GE-RAND-OND. The
-distributed Ford-Fulkerson policy doubles as the feasibility oracle.
+distributed Ford-Fulkerson policy (FF, ``max_flow``) is the baseline with
+full message accounting; the feasibility oracle (``flow_feasible``, used by
+the ``--feasible-only`` pool filter and the lockstep oracle) answers the
+same max-flow question by value alone, at a fraction of the cost.
 
 Each executor's ``attempt`` discovers paths, assigns credit, reserves
 along the paths and settles or rolls back, with the one greedy walk and
@@ -325,8 +328,98 @@ def _decompose(
 
 
 def flow_feasible(g: CreditGraph, src: NodeId, dst: NodeId, c: int) -> bool:
-    """Oracle: can c actually be pushed from src to dst right now?"""
-    return max_flow(g, src, dst, target=c).value >= c
+    """Oracle: can c actually be pushed from src to dst right now?
+
+    Equivalent to ``max_flow(g, src, dst, target=c).value >= c`` (the
+    max-flow value is unique), over the same residual capacities: the
+    available credit, weight minus reservations. A value of c <= 0 is
+    always feasible; src == dst or an unknown endpoint is not.
+
+    The answer is found in two steps:
+      * cut bound: when the sender's total available outgoing credit or
+        the receiver's total incoming credit is below c, no flow reaches
+        c, and the check ends without a search;
+      * augmentation: push along residual paths found by a bidirectional
+        BFS (the forward side over residual links out of src, the backward
+        side over residual links into dst, the smaller frontier expanded
+        first) until c units are pushed or no path is left.
+
+    It is kept apart from ``max_flow`` because that is the FF policy and
+    its cost model: its sorted one-direction BFS scan count is charged as
+    messages and delay, and its paths are decomposed for settlement. The
+    oracle only answers yes or no, so it neither sorts nor counts
+    neighbors and builds no path decomposition.
+    """
+    if c <= 0:
+        return True
+    if src == dst or src not in g.nodes or dst not in g.nodes:
+        return False
+    links_get = g._links.get
+    adj = g._adj
+
+    def avail(a: NodeId, b: NodeId) -> int:
+        entry = links_get((a, b))
+        return entry[0] - entry[1] if entry else 0
+
+    if sum(avail(src, n) for n in adj[src]) < c or sum(avail(n, dst) for n in adj[dst]) < c:
+        return False
+
+    res: dict[tuple[NodeId, NodeId], int] = {}
+    res_get = res.get
+
+    def expand(front, seen, other, forward):
+        """One BFS level; returns the next frontier and the meeting node, if any."""
+        nxt = []
+        for x in front:
+            for y in adj[x]:
+                if y in seen:
+                    continue
+                key = (x, y) if forward else (y, x)
+                r = res_get(key)
+                if r is None:
+                    entry = links_get(key)
+                    r = entry[0] - entry[1] if entry else 0
+                if r <= 0:
+                    continue
+                seen[y] = x
+                if y in other:
+                    return nxt, y
+                nxt.append(y)
+        return nxt, None
+
+    pushed = 0
+    while pushed < c:
+        # Parents toward src (forward side) and toward dst (backward side).
+        fwd: dict[NodeId, NodeId | None] = {src: None}
+        bwd: dict[NodeId, NodeId | None] = {dst: None}
+        f_front = [src]
+        b_front = [dst]
+        meet = None
+        while meet is None and f_front and b_front:
+            if len(f_front) <= len(b_front):
+                f_front, meet = expand(f_front, fwd, bwd, True)
+            else:
+                b_front, meet = expand(b_front, bwd, fwd, False)
+        if meet is None:
+            return False
+        nodes = []
+        x = meet
+        while x is not None:
+            nodes.append(x)
+            x = fwd[x]
+        nodes.reverse()
+        x = bwd[meet]
+        while x is not None:
+            nodes.append(x)
+            x = bwd[x]
+        hops = list(zip(nodes, nodes[1:]))
+        residuals = [res_get(hop, avail(*hop)) for hop in hops]
+        push = min(min(residuals), c - pushed)
+        for (a, b), r in zip(hops, residuals):
+            res[(a, b)] = r - push
+            res[(b, a)] = res_get((b, a), avail(b, a)) + push
+        pushed += push
+    return True
 
 
 # ---- transaction executors --------------------------------------------------

@@ -50,16 +50,15 @@ _CONFIG_KEYS = {
 
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{i}: bad config line {line!r}")
-            values[key] = value.strip()
+    for i, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{i}: bad config line {line!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -98,11 +97,20 @@ def _atomic_write(path: str, content: str) -> None:
 
 
 def _read_text(path: str) -> str:
+    """A UTF-8 file's text with universal newlines; bad bytes fail at their line."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"{path}: invalid UTF-8 byte 0x{data[e.start]:02x}", line) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 # ---- run ---------------------------------------------------------------------
@@ -220,7 +228,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     snapshot = parse_snapshot(snapshot_text)
     tx_file = parse_transactions(tx_text)
-    changes = parse_link_changes(changes_text) if changes_text is not None else None
+    changes = (
+        parse_link_changes(changes_text, reject_self_links=True)
+        if changes_text is not None
+        else None
+    )
 
     workload_bytes = snapshot_text.encode() + tx_text.encode() + (
         changes_text.encode() if changes_text is not None else b""

@@ -489,24 +489,6 @@ def run_dynamic(
     return metrics
 
 
-def run_dynamic_with_oracle(
-    g0: CreditGraph,
-    events: list[Event],
-    policy: RoutingPolicy,
-    params: SimParams,
-) -> tuple[RunMetrics, RunMetrics]:
-    """Run the policy and an independent max-flow twin on its own graph copy.
-
-    The twin diverges in state, as different routing decisions lead to
-    different payments; use the result for relative per-epoch success.
-    """
-    from .baselines import MAX_FLOW_POLICY
-
-    metrics = run_dynamic(g0, events, policy, params)
-    baseline = run_dynamic(g0, events, MAX_FLOW_POLICY, params)
-    return metrics, baseline
-
-
 def relative_success(metrics: RunMetrics, baseline: RunMetrics) -> list[float | None]:
     """Per-epoch policy success ratio divided by the baseline's; may exceed 1."""
     epochs = metrics.epochs

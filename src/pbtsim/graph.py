@@ -248,27 +248,13 @@ class CreditGraph:
             out.append(comp)
         return out
 
-    def giant_component(self) -> CreditGraph:
-        """Subgraph induced by the largest weak component.
-
-        Ties go to the component containing the smallest node id (components
-        are discovered in ascending id order, so the first maximum wins).
-        """
-        best = max(self.components(), key=len, default=set())
-        sub = CreditGraph()
-        for v in best:
-            sub.add_node(v)
-        for (u, v), entry in self._links.items():
-            if u in best:
-                sub._set_weight(u, v, entry[0])
-        return sub
-
     def clone(self) -> CreditGraph:
         g = CreditGraph()
         g.nodes = set(self.nodes)
         g._links = {k: entry.copy() for k, entry in self._links.items()}
         g._adj = {v: set(ns) for v, ns in self._adj.items()}
-        # the sorted-adjacency cache rebuilds lazily
+        # Cached lists are replaced, never mutated, so sharing them is safe.
+        g._sorted_adj = dict(self._sorted_adj)
         return g
 
     def check_invariants(self) -> None:

@@ -153,7 +153,12 @@ def serialize_transactions(txs: TransactionFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_link_changes(text: str) -> LinkChangeFile:
+def parse_link_changes(text: str, reject_self_links: bool = False) -> LinkChangeFile:
+    """Parse a link-change file; with reject_self_links a u == v row is an error.
+
+    Raw dataset files may hold self entries for ``preprocess`` to drop (rule
+    2); a simulation input may not, since the graph rejects self-links.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != "time,u,v,new_weight":
         raise ParseError("expected header 'time,u,v,new_weight'", 1)
@@ -170,7 +175,10 @@ def parse_link_changes(text: str) -> LinkChangeFile:
         if prev_time is not None and time < prev_time:
             raise ParseError("timestamps must be nondecreasing", i)
         prev_time = time
-        records.append(LinkChangeEvent(time, _parse_node(parts[1], i), _parse_node(parts[2], i), weight))
+        u, v = _parse_node(parts[1], i), _parse_node(parts[2], i)
+        if u == v and reject_self_links:
+            raise ParseError(f"self-link {u}->{v}", i)
+        records.append(LinkChangeEvent(time, u, v, weight))
     return LinkChangeFile(records)
 
 

@@ -3,6 +3,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbtsim.baselines import (
     MAX_FLOW_POLICY,
@@ -269,6 +270,63 @@ def test_max_flow_matches_networkx(chunk):
         for links, amount in ours.paths:
             assert links[0][0] == src and links[-1][1] == dst
             assert amount > 0
+
+
+@st.composite
+def reserved_graphs(draw):
+    """Small graph with zero-weight rows, one-way links and partial reservations."""
+    n = draw(st.integers(2, 9))
+    g = CreditGraph()
+    for v in range(n):
+        g.add_node(v)
+    for _ in range(draw(st.integers(0, 3 * n))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 1))
+        if u == v:
+            continue
+        w = draw(st.integers(0, 12))
+        g.set_link(u, v, w)  # w == 0 removes the link (or never makes it)
+        if w:
+            g.reserve(u, v, draw(st.integers(0, w)))
+    return g, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), graph=reserved_graphs())
+def test_flow_feasible_matches_max_flow_and_networkx(data, graph):
+    g, n = graph
+    # Node n is unknown to the graph; src == dst is allowed.
+    src = data.draw(st.integers(0, n))
+    dst = data.draw(st.integers(0, n))
+    known = src != dst and src in g.nodes and dst in g.nodes
+    if known:
+        nxg = nx.DiGraph()
+        nxg.add_nodes_from(g.nodes)
+        for u, v in g._links:
+            if g.available(u, v) > 0:
+                nxg.add_edge(u, v, capacity=g.available(u, v))
+        value = nx.maximum_flow_value(nxg, src, dst)
+        assert max_flow(g, src, dst).value == value
+    else:
+        value = 0
+    extra = data.draw(st.integers(-3, value + 3))
+    for c in (0, -1, value, value + 1, extra):
+        expected = c <= value
+        assert flow_feasible(g, src, dst, c) is expected
+        assert (max_flow(g, src, dst, target=c).value >= c) is expected
+    g.check_invariants()
+
+
+def test_flow_feasible_cancels_flow_on_a_shortest_path():
+    # Max flow 0 -> 5 is 2 (0-1-4-5 and 0-3-2-5), but the shortest path
+    # 0-1-2-5 is as short as either; once it is taken, the second unit
+    # needs the residual 2 -> 1 to cancel its middle link.
+    g = CreditGraph()
+    for u, v in ((0, 1), (1, 2), (2, 5), (0, 3), (3, 2), (1, 4), (4, 5)):
+        g.set_link(u, v, 1)
+    assert max_flow(g, 0, 5).value == 2
+    assert flow_feasible(g, 0, 5, 2)
+    assert not flow_feasible(g, 0, 5, 3)
 
 
 def test_max_flow_target_stops_early():

@@ -73,6 +73,7 @@ def test_run_missing_file_exits_2(tmp_path):
         "--transactions", str(tmp_path / "none2.csv"),
     ])
     assert code == 2
+    assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 2
 
 
 def test_run_config_file_with_flag_override(workload, tmp_path):
@@ -91,6 +92,23 @@ def test_run_bad_config_line_exits_2(workload, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense-line\n")
     assert main(["run", "--config", str(cfg)]) == 2
+
+
+def test_run_invalid_utf8_exits_2_with_line(workload, tmp_path, capsys):
+    snap, _ = workload
+    bad = tmp_path / "bad_transactions.csv"
+    bad.write_bytes(b"time,value,src,dst\n0,1,0,1\n\xff\xfe1,1,1,0\n")
+    assert main(run_args((snap, bad), tmp_path / "x")) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_run_self_link_change_exits_2_with_line(workload, tmp_path, capsys):
+    changes = tmp_path / "changes.csv"
+    changes.write_text("time,u,v,new_weight\n0,0,1,5\n1,1,1,5\n")
+    args = run_args(workload, tmp_path / "x", extra=("--link-changes", str(changes)))
+    args[args.index("static")] = "dynamic"
+    assert main(args) == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_trees_sweep_emits_row_per_value(workload, tmp_path):

@@ -10,7 +10,6 @@ from pbtsim.engine import (
     TransactionEvent,
     relative_success,
     run_dynamic,
-    run_dynamic_with_oracle,
     run_static,
 )
 from pbtsim.errors import ConfigError
@@ -201,7 +200,8 @@ def test_lockstep_oracle_monotone_per_epoch():
 def test_relative_success_twin():
     g, txs = desk_workload(tx=250)
     params = SimParams(seed=7, epoch=50)
-    metrics, baseline = run_dynamic_with_oracle(g, txs, parse_policy("GE-RAND-OND"), params)
+    metrics = run_dynamic(g, txs, parse_policy("GE-RAND-OND"), params)
+    baseline = run_dynamic(g, txs, MAX_FLOW_POLICY, params)
     assert baseline.success_ratio() >= 0.9  # max-flow succeeds on feasible loads
     series = relative_success(metrics, baseline)
     assert len(series) == len(metrics.epochs)

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from pbtsim.credit import credit
 from pbtsim.errors import ConfigError, InternalError
 from pbtsim.graph import CreditGraph
+from pbtsim.workload import LinkChangeFile, LinkRecord, SnapshotFile, TransactionFile, preprocess
 
 from conftest import random_graph
 
@@ -223,22 +226,22 @@ def test_giant_component_picks_larger():
         g.set_link(u, v, credit(1))
     for u, v in ((10, 11), (11, 12)):  # size 3
         g.set_link(u, v, credit(1))
-    giant = g.giant_component()
-    assert giant.nodes == {0, 1, 2, 3, 4}
+    assert max(g.components(), key=len) == {0, 1, 2, 3, 4}
 
 
 def test_giant_component_tie_breaks_by_smallest_node():
-    g = CreditGraph()
-    g.set_link(5, 6, credit(1))
-    g.set_link(0, 9, credit(1))
-    giant = g.giant_component()
-    assert giant.nodes == {0, 9}
+    snapshot = SnapshotFile([LinkRecord(5, 6, credit(1)), LinkRecord(0, 9, credit(1))])
+    result = preprocess(snapshot, TransactionFile([]), LinkChangeFile([]))
+    assert result.snapshot.records == [LinkRecord(0, 9, credit(1))]
+    assert result.report["nodes_kept"] == 2
 
 
 def test_giant_component_connected_graph_is_identity(line_graph):
-    giant = line_graph.giant_component()
-    assert giant.nodes == line_graph.nodes
-    assert giant.link_count() == line_graph.link_count()
+    assert line_graph.components() == [line_graph.nodes]
+    rows = [LinkRecord(u, v, entry[0]) for (u, v), entry in line_graph._links.items()]
+    result = preprocess(SnapshotFile(rows), TransactionFile([]), LinkChangeFile([]))
+    assert result.report["nodes_kept"] == len(line_graph.nodes)
+    assert result.report["links_kept"] == line_graph.link_count()
 
 
 def test_clone_is_independent(line_graph):
@@ -246,6 +249,19 @@ def test_clone_is_independent(line_graph):
     g2.set_link(0, 1, credit(99))
     assert line_graph.weight(0, 1) == credit(10)
     g2.check_invariants()
+    line_graph.check_invariants()
+
+
+def test_clone_keeps_sorted_cache_independent(line_graph):
+    before = {v: list(line_graph.sorted_neighbors(v)) for v in line_graph.nodes}
+    g2 = line_graph.clone()
+    assert g2._sorted_adj == line_graph._sorted_adj  # copied, not rebuilt
+    g2.set_link(0, 2, credit(1))
+    g2.set_link(1, 2, 0)
+    g2.set_link(2, 1, 0)
+    assert g2.sorted_neighbors(0) == [1, 2]
+    assert g2.sorted_neighbors(2) == [0]
+    assert {v: line_graph.sorted_neighbors(v) for v in line_graph.nodes} == before
     line_graph.check_invariants()
 
 
@@ -257,3 +273,105 @@ def test_rollback_weights_restores_exactly():
     deltas = g.commit_payment([(0, 1)], amt) if amt else []
     g.rollback_weights(deltas)
     assert {k: list(v) for k, v in g._links.items()} == snapshot
+
+
+# ---- ledger conservation (property test) ----------------------------------------
+
+NODES = st.integers(0, 4)
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """Random reserve/release/commit/rollback/set_link on a 5-node graph.
+
+    ``held`` is the test's own record of outstanding reservations; it must
+    match the graph's ledger after every step.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.g = CreditGraph()
+        self.held: dict[tuple[int, int], int] = {}
+        self.last_commit = None  # (deltas, weights before) of the step just taken
+
+    def held_link(self, data):
+        return data.draw(st.sampled_from(sorted(k for k, r in self.held.items() if r)))
+
+    def weights(self):
+        return {key: entry[0] for key, entry in self.g._links.items()}
+
+    @rule(u=NODES, v=NODES, w=st.integers(0, 20))
+    def set_link(self, u, v, w):
+        self.last_commit = None
+        if u == v:
+            with pytest.raises(ConfigError):
+                self.g.set_link(u, v, w)
+            return
+        self.g.set_link(u, v, w)
+        if self.held.get((u, v), 0) > w:  # the reservation is clamped
+            self.held[(u, v)] = w
+
+    @precondition(lambda self: any(self.held.values()))
+    @rule(data=st.data(), w=st.integers(0, 20))
+    def set_reserved_link(self, data, w):
+        """set_link on a link that holds a reservation, which it may clamp."""
+        self.set_link(*self.held_link(data), w)
+
+    @rule(u=NODES, v=NODES, c=st.integers(0, 20))
+    def reserve(self, u, v, c):
+        self.last_commit = None
+        fits = self.g.available(u, v) >= c
+        assert self.g.reserve(u, v, c) == fits
+        if fits:
+            self.held[(u, v)] = self.held.get((u, v), 0) + c
+
+    @precondition(lambda self: any(self.held.values()))
+    @rule(data=st.data())
+    def release(self, data):
+        self.last_commit = None
+        key = self.held_link(data)
+        c = data.draw(st.integers(1, self.held[key]))
+        self.g.release(*key, c)
+        self.held[key] -= c
+
+    @precondition(lambda self: any(self.held.values()))
+    @rule(data=st.data())
+    def commit_payment(self, data):
+        # A chain of distinct reserved links, starting at a random held one.
+        path = [self.held_link(data)]
+        while len(path) < 3:
+            nxt = sorted(k for k, r in self.held.items()
+                         if r and k[0] == path[-1][1] and k not in path)
+            if not nxt or not data.draw(st.booleans()):
+                break
+            path.append(data.draw(st.sampled_from(nxt)))
+        c = data.draw(st.integers(1, min(self.held[k] for k in path)))
+        before = self.weights()
+        pair_sums = self.pair_sums(path)
+        deltas = self.g.commit_payment(path, c)
+        for key in path:
+            self.held[key] -= c
+        assert self.pair_sums(path) == pair_sums
+        self.last_commit = (deltas, before)
+
+    def pair_sums(self, path):
+        """w(u, v) + w(v, u) of every node pair the path touches."""
+        return {(min(k), max(k)): self.g.weight(*k) + self.g.weight(k[1], k[0]) for k in path}
+
+    @precondition(lambda self: self.last_commit is not None)
+    @rule()
+    def rollback_weights(self):
+        deltas, before = self.last_commit
+        self.last_commit = None
+        self.g.rollback_weights(deltas)
+        assert self.weights() == before
+
+    @invariant()
+    def ledger_matches(self):
+        self.g.check_invariants()
+        assert self.g.total_reserved() == sum(self.held.values())
+        for (u, v), r in self.held.items():
+            assert self.g.reserved(u, v) == r
+
+
+TestLedgerConservation = LedgerMachine.TestCase
+TestLedgerConservation.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)

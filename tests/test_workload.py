@@ -172,7 +172,7 @@ def test_generate_connected_for_default_params():
     for n in (10, 37, 120):
         snap, _ = generate_synthetic(n, seed=n)
         g = build_graph(snap)
-        assert len(g.giant_component().nodes) == n
+        assert len(max(g.components(), key=len)) == n
 
 
 def test_generate_rejects_bad_params():
