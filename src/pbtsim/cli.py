@@ -128,6 +128,16 @@ class _RunOptions:
                 return str(flag)
             return cfg.get(name, default)
 
+        def pick_int(name: str, default: str | None = None) -> int | None:
+            """The value as an integer; None if it is unset or empty and has no default."""
+            text = pick(name, default)
+            if not text and default is None:
+                return None
+            try:
+                return int(text)
+            except ValueError:
+                raise ConfigError(f"{name} must be an integer, got {text!r}") from None
+
         self.mode = pick("mode", "static")
         if self.mode not in ("static", "dynamic"):
             raise ConfigError(f"unknown mode {self.mode!r}")
@@ -142,17 +152,16 @@ class _RunOptions:
         self.link_changes = pick("link_changes")
         self.out = pick("out", ".")
         self.trees = _parse_trees(pick("trees", "3"))
-        self.attempts = int(pick("attempts", "2"))
-        self.epoch = int(pick("epoch", "1000"))
+        self.attempts = pick_int("attempts", "2")
+        self.epoch = pick_int("epoch", "1000")
         tl = pick("tl")
         self.tl = parse_credit(tl) if tl else None
         self.landmarks = pick("landmarks", "degree")
-        self.runs = int(pick("runs", "1"))
+        self.runs = pick_int("runs", "1")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        self.seed = int(pick("seed", "1"))
-        sample = pick("sample")
-        self.sample = int(sample) if sample else None
+        self.seed = pick_int("seed", "1")
+        self.sample = pick_int("sample")
         feasible = pick("feasible_only", "false")
         self.feasible_only = _parse_bool(feasible)
         addr = pick("addr_overhead", "true")

@@ -143,6 +143,13 @@ class Embedding:
     Mutations go through attach/detach so the children index, the
     previous-coordinate memory (needed by the re-parent cycle rule) and the
     optional undo journal stay consistent.
+
+    ``neighbor_index`` maps a node to the neighbor index greedy routing
+    keeps for it (``routing.build_neighbor_index``, with the neighbor list
+    it was built from). While any index exists, attach, detach and
+    rollback_undo add every node whose coordinate they change to ``moved``;
+    ``routing.next_hop`` drops the indexes of those nodes and their graph
+    neighbors before its next lookup. A fresh embedding has no indexes.
     """
 
     def __init__(
@@ -159,6 +166,8 @@ class Embedding:
         self.children: dict[NodeId, set[NodeId]] = {landmark: set()}
         self.prev_coord: dict[NodeId, Coordinate] = {}
         self._journal: list[tuple] | None = None
+        self.neighbor_index: dict[NodeId, tuple] = {}
+        self.moved: set[NodeId] = set()
 
     # -- undo journal (static-mode transaction isolation) --
 
@@ -175,6 +184,8 @@ class Embedding:
         """Restore the exact state captured since begin_undo."""
         if self._journal is None:
             raise InternalError("rollback without begin_undo")
+        if self.neighbor_index:
+            self.moved.update(entry[0] for entry in self._journal)
         for node, old_parent, old_coord, old_prev in reversed(self._journal):
             cur_parent = self.parent.get(node)
             if cur_parent is not None:
@@ -268,6 +279,8 @@ class Embedding:
         if node in self.coord:
             raise InternalError(f"attach of already-attached node {node}")
         self._record(node)
+        if self.neighbor_index:
+            self.moved.add(node)
         self.parent[node] = parent
         self.coord[node] = self.coord[parent] + (element,)
         self.children.setdefault(parent, set()).add(node)
@@ -278,6 +291,8 @@ class Embedding:
         if node == self.landmark:
             raise InternalError("landmark cannot be detached")
         self._record(node)
+        if self.neighbor_index:
+            self.moved.add(node)
         coord = self.coord.pop(node)
         self.prev_coord[node] = coord
         parent = self.parent.pop(node, None)

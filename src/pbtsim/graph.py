@@ -15,6 +15,7 @@ purpose and are pruned.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -94,13 +95,6 @@ class CreditGraph:
         """Guaranteed available credit: weight minus outstanding reservations."""
         entry = self._links.get((u, v))
         return entry[0] - entry[1] if entry else 0
-
-    def has_bidirectional(self, u: NodeId, v: NodeId) -> bool:
-        return self.available(u, v) > 0 and self.available(v, u) > 0
-
-    def bidirectional_degree(self, v: NodeId) -> int:
-        """Count of neighbors with positive available credit in both directions."""
-        return sum(1 for n in self._adj[v] if self.has_bidirectional(v, n))
 
     # ---- mutation --------------------------------------------------------
 
@@ -212,14 +206,21 @@ class CreditGraph:
     def select_landmarks(self, k: int, mode: str = "degree", seed: int = 0) -> list[NodeId]:
         """Pick k landmark nodes, either by bidirectional degree or at random.
 
-        Degree mode ranks by the number of neighbors with positive credit
-        in both directions, ties broken by ascending node id.
+        Degree mode ranks by the bidirectional degree, the number of
+        neighbors with positive available credit in both directions (counted
+        in one pass over the links), ties broken by ascending node id.
         """
         if k > len(self.nodes):
             raise ConfigError(f"cannot select {k} landmarks from {len(self.nodes)} nodes")
         if mode == "degree":
-            ranked = sorted(self.nodes, key=lambda v: (-self.bidirectional_degree(v), v))
-            return ranked[:k]
+            links = self._links
+            degree = dict.fromkeys(self.nodes, 0)
+            for (u, v), (w, r) in links.items():
+                if w > r:
+                    back = links.get((v, u))
+                    if back is not None and back[0] > back[1]:
+                        degree[u] += 1
+            return heapq.nsmallest(k, self.nodes, key=lambda v: (-degree[v], v))
         if mode == "random":
             rng = random.Random(seed)
             pool = sorted(self.nodes)

@@ -18,6 +18,19 @@ address's padded coordinate. Keyed hashing stays the privacy model
 (``embedding.address_distance``): it yields the same distance except on a
 2^-128 digest collision, which the tests check differentially.
 
+``next_hop`` does not scan every neighbor. Each embedding keeps, per node,
+a path-compressed trie over the coordinates of the node's graph neighbors
+(``build_neighbor_index``), built the first time a walk reaches the node.
+The target coordinate is walked down the trie, and only the neighbors that
+can be closer than the current node are visited, nearest rings first. An
+index is valid while the graph returns the same ``sorted_neighbors`` list
+object it was built from (the graph replaces that list whenever the
+neighbor set changes) and no neighbor's coordinate has changed: the
+embedding records every node it attaches, detaches or rolls back in
+``moved``, and ``next_hop`` drops the indexes of those nodes and their
+neighbors before its next lookup. The hop and the random draws are those of
+a plain scan in ascending neighbor id, which the tests keep as reference.
+
 Message accounting is one message per link traversal, both for the probe
 itself and for the success/failure report travelling the reverse path
 (failure reports originate at the stuck node). The hop-delay contribution
@@ -31,6 +44,7 @@ from dataclasses import dataclass, field
 
 from .embedding import (
     DEFAULT_ADDRESS_LEN,
+    Coordinate,
     Embedding,
     ReturnAddress,
     address_distance,  # noqa: F401  the hashed model; bench/harness.py traces it here
@@ -60,6 +74,73 @@ def split_value(c: int, k: int, rng: random.Random) -> list[int]:
     return [b - a for a, b in zip(bounds, bounds[1:])]
 
 
+# A trie node is [depth, members, children]: the neighbors whose coordinate
+# extends the node's prefix (of length depth), in (len(coord), id) order, and
+# the next element after the prefix -> child trie node, or a bare neighbor id
+# while only one member continues that way. Edges are path-compressed: a trie
+# node exists only where members branch or end.
+TrieNode = list
+
+
+def build_neighbor_index(coords: dict[NodeId, Coordinate], nbrs: list[NodeId]) -> TrieNode:
+    """Path-compressed trie over the coordinates of the attached nodes in nbrs.
+
+    One pass: the attached neighbors are stable-sorted by coordinate length
+    (nbrs is in ascending id) and inserted in that order, so appending keeps
+    every member list in (len(coord), id) order. A lone member becomes a trie
+    node when a second one arrives on its edge, at their common prefix.
+    """
+    members = [n for n in nbrs if n in coords]
+    members.sort(key=lambda n: len(coords[n]))
+    root: TrieNode = [0, members, {}]
+    for n in members:
+        c = coords[n]
+        lc = len(c)
+        node = root
+        j = 0
+        while j < lc:
+            children = node[2]
+            child = children.get(c[j])
+            if child is None:
+                children[c[j]] = n
+                break
+            if child.__class__ is list:
+                k = child[0]
+                rep = coords[child[1][0]]
+            else:
+                rep = coords[child]
+                k = len(rep)
+            end = k if k < lc else lc
+            p = j + 1
+            while p < end and rep[p] == c[p]:
+                p += 1
+            if p == k and child.__class__ is list:
+                child[1].append(n)
+                node = child
+                j = k
+                continue
+            # n leaves the edge to child at depth p: a trie node there holds both.
+            split: TrieNode = [p, child[1] + [n] if child.__class__ is list else [child, n], {}]
+            if p < k:
+                split[2][rep[p]] = child
+            if p < lc:
+                split[2][c[p]] = n
+            children[c[j]] = split
+            break
+    return root
+
+
+def _drop_moved(g: CreditGraph, emb: Embedding) -> None:
+    """Drop the index of every moved node and of each of its graph neighbors."""
+    index = emb.neighbor_index
+    adj = g._adj
+    for x in emb.moved:
+        index.pop(x, None)
+        for n in adj.get(x, ()):
+            index.pop(n, None)
+    emb.moved.clear()
+
+
 def next_hop(
     g: CreditGraph,
     emb: Embedding,
@@ -67,60 +148,109 @@ def next_hop(
     addr: ReturnAddress,
     share: int,
     rng: random.Random,
-    dist_cache: dict[NodeId, int] | None = None,
 ) -> NodeId | None:
     """Neighbor strictly closer to the address with w_A >= share, or None.
 
     With share 0 the credit constraint is vacuous and this is pure greedy
     embedding routing. Among equally-close candidates one is picked
-    uniformly at random. The distance of coordinate c to the address is
-    ``len(c) + len(addr.elements) - 2 * k`` with k the common prefix length
-    of c and the padded coordinate ``addr.elements``, exactly
-    ``address_distance`` without its hashing. ``dist_cache`` memoises it
-    per node; it is valid for one probe within one tree and is supplied by
-    the walk.
+    uniformly at random, from the candidates in ascending id. The distance
+    of coordinate c to the address is ``len(c) + L - 2 * j`` with L the
+    padded length and j the common prefix length of c and the padded
+    coordinate ``addr.elements``, exactly ``address_distance`` without its
+    hashing.
+
+    Only neighbors that can be closer are visited. The target is walked down
+    the current node's neighbor index (``build_neighbor_index``); the ring at
+    depth j (the members sharing exactly j elements with it) is scanned from
+    the deepest up, each in coordinate-length order, up to the first member
+    farther than the best distance so far. The walk up stops at the first
+    ring whose length bound is below its depth. The credit check runs on the
+    members within the bound only.
+
+    The index of a node is built when a walk first reaches it and holds the
+    ``g.sorted_neighbors`` list it was built from; it is rebuilt when the
+    graph returns another list (the neighbor set changed). ``Embedding``
+    marks every node whose coordinate changes as moved while some index
+    exists, and the indexes of moved nodes and their neighbors are dropped
+    here before the lookup.
     """
     coords = emb.coord
     cur_coord = coords.get(current)
     if cur_coord is None:
         return None
-    if dist_cache is None:
-        dist_cache = {}
+    if emb.moved:
+        _drop_moved(g, emb)
+    nbrs = g.sorted_neighbors(current)
+    index = emb.neighbor_index
+    entry = index.get(current)
+    if entry is None or entry[0] is not nbrs:
+        entry = index[current] = (nbrs, build_neighbor_index(coords, nbrs))
     target = addr.elements
     target_len = len(target)
-    best_d = dist_cache.get(current)
-    if best_d is None:
-        best_d = dist_cache[current] = coord_distance(cur_coord, target)
+    # Rings from the root down: trie nodes on the target's path, then the
+    # members that branch off inside the last edge, as (depth, members). The
+    # edge match is inlined here and in build_neighbor_index: a shared helper
+    # made next_hop on the churn workload about a sixth slower.
+    rings: list = []
+    node = entry[1]
+    while True:
+        rings.append(node)
+        j = node[0]
+        if j >= target_len:
+            break
+        child = node[2].get(target[j])
+        if child is None:
+            break
+        if child.__class__ is list:
+            k = child[0]
+            rep = coords[child[1][0]]
+        else:
+            rep = coords[child]
+            k = len(rep)
+        end = k if k < target_len else target_len
+        p = j + 1
+        while p < end and rep[p] == target[p]:
+            p += 1
+        if p == k and child.__class__ is list:
+            node = child
+            continue
+        rings.append((p, child[1] if child.__class__ is list else (child,)))
+        break
     links = g._links
+    # Farthest distance still of interest: one below the current node's until
+    # a candidate is found, then the candidates' distance.
+    top = coord_distance(cur_coord, target) - 1
     ties: list[NodeId] = []
-    for n in g.sorted_neighbors(current):
-        coord = coords.get(n)
-        if coord is None:
-            continue
-        d = dist_cache.get(n)
-        if d is None:  # coord_distance(coord, target), inlined on the hot path
-            k = 0
-            for x, y in zip(coord, target):
-                if x != y:
-                    break
-                k += 1
-            d = dist_cache[n] = len(coord) + target_len - 2 * k
-        # A farther neighbor can never become a candidate or a tie, so the
-        # credit lookup is skipped for it.
-        if d > best_d:
-            continue
-        if share > 0:
-            entry = links.get((current, n))
-            if entry is None or entry[0] - entry[1] < share:
-                continue
-        if d < best_d:
-            best_d = d
-            ties = [n]
-        elif ties:
-            ties.append(n)
+    for ring in reversed(rings):
+        j = ring[0]
+        bound = top - target_len + 2 * j  # a member within it has length <= bound
+        if bound < j:
+            break  # no member is that short, here or in a shallower ring
+        t_j = target[j] if j < target_len else None
+        for n in ring[1]:
+            c = coords[n]
+            lc = len(c)
+            if lc > bound:
+                break
+            if lc > j and c[j] == t_j:
+                continue  # shares more than j elements: a deeper ring's member
+            if share > 0:
+                link = links.get((current, n))
+                if link is None or link[0] - link[1] < share:
+                    continue
+            d = lc + target_len - 2 * j
+            if ties and d == top:
+                ties.append(n)
+            else:
+                top = d
+                ties = [n]
+                bound = top - target_len + 2 * j
     if not ties:
         return None
-    return ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+    if len(ties) == 1:
+        return ties[0]
+    ties.sort()
+    return ties[rng.randrange(len(ties))]
 
 
 Held = list[tuple[NodeId, NodeId, int]]  # (u, v, amount) reservations to release
@@ -143,12 +273,11 @@ def greedy_walk(
     """
     if addr is None or not emb.attached(src):
         return [], False
-    dist_cache: dict[NodeId, int] = {}
     budget = len(g.nodes)
     path: Path = []
     cur = src
     while not addr.is_receiver(emb.coord.get(cur)):
-        nxt = next_hop(g, emb, cur, addr, share, rng, dist_cache)
+        nxt = next_hop(g, emb, cur, addr, share, rng)
         if nxt is None:
             return path, False
         path.append((cur, nxt))

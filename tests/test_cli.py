@@ -94,6 +94,15 @@ def test_run_bad_config_line_exits_2(workload, tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("key", ["attempts", "epoch", "runs", "seed", "sample"])
+def test_run_non_integer_config_value_exits_2(workload, tmp_path, capsys, key):
+    snap, txs = workload
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"policy=GE-RAND-OND\nsnapshot={snap}\ntransactions={txs}\n{key}=abc\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert f"{key} must be an integer, got 'abc'" in capsys.readouterr().err
+
+
 def test_run_invalid_utf8_exits_2_with_line(workload, tmp_path, capsys):
     snap, _ = workload
     bad = tmp_path / "bad_transactions.csv"

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from pbtsim.credit import credit
@@ -185,6 +185,11 @@ def test_conservation_under_commits():
     g.check_invariants()
 
 
+def bidirectional_degree(g, v):
+    """Neighbors of v with positive available credit in both directions, per pair."""
+    return sum(1 for n in g.neighbors(v) if g.available(v, n) > 0 and g.available(n, v) > 0)
+
+
 def test_select_landmarks_star_hub(star_graph):
     assert star_graph.select_landmarks(1, "degree") == [0]
 
@@ -208,9 +213,38 @@ def test_select_landmarks_counts_bidirectional_only():
     g.set_link(1, 7, credit(1))
     g.set_link(7, 1, credit(1))
     # hand count: bidirectional degree of 0 is 0, of 1 is 2
-    assert g.bidirectional_degree(0) == 0
-    assert g.bidirectional_degree(1) == 2
+    assert bidirectional_degree(g, 0) == 0
+    assert bidirectional_degree(g, 1) == 2
     assert g.select_landmarks(1, "degree") == [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    extra=st.integers(0, 40),
+    isolated=st.integers(0, 3),
+    data=st.data(),
+)
+def test_select_landmarks_degree_matches_sorted_ranking(seed, n, extra, isolated, data):
+    """One-pass degree selection picks what sorting every node by
+    (-bidirectional degree, id) picks, with one-way, partly and fully
+    reserved links and isolated nodes."""
+    g = random_graph(n, extra, seed=seed)
+    rnd = random.Random(seed)
+    for u, v in sorted(g._links):
+        pick = rnd.random()
+        if pick < 0.2:
+            g.set_link(u, v, 0)  # one-way, or gone if the other direction went too
+        elif pick < 0.4:
+            g.reserve(u, v, g.weight(u, v))
+        elif pick < 0.6:
+            g.reserve(u, v, rnd.randint(0, g.weight(u, v)))
+    for v in range(n, n + isolated):
+        g.add_node(v)
+    k = data.draw(st.integers(1, len(g.nodes)), label="k")
+    ranked = sorted(g.nodes, key=lambda v: (-bidirectional_degree(g, v), v))
+    assert g.select_landmarks(k, "degree") == ranked[:k]
 
 
 def test_select_landmarks_too_many():

@@ -5,10 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from pbtsim.baselines import make_executor, parse_policy
 from pbtsim.credit import credit
-from pbtsim.embedding import Embedding, address_distance, build_embeddings, gen_return_address
+from pbtsim.embedding import (
+    Embedding,
+    address_distance,
+    build_embeddings,
+    coord_distance,
+    gen_return_address,
+)
 from pbtsim.engine import SimParams, run_static
 from pbtsim.graph import CreditGraph
+from pbtsim.stabilization import on_link_change
 from pbtsim.routing import (
+    build_neighbor_index,
     gen_addresses,
     next_hop,
     release,
@@ -117,15 +125,41 @@ def test_next_hop_zero_share_is_pure_greedy(rng):
     assert next_hop(g, emb, 0, addr, credit(1), rng) is None
 
 
-def reference_next_hop(g, emb, current, addr, share, rng, dist_cache):
+def scan_next_hop(g, emb, current, addr, share, rng):
+    """next_hop as a plain scan of every neighbor in ascending id: plaintext
+    distance, checked before credit. The reference for the neighbor index."""
+    coords = emb.coord
+    cur_coord = coords.get(current)
+    if cur_coord is None:
+        return None
+    target = addr.elements
+    best_d = coord_distance(cur_coord, target)
+    ties = []
+    for n in g.sorted_neighbors(current):
+        coord = coords.get(n)
+        if coord is None:
+            continue
+        d = coord_distance(coord, target)
+        if d > best_d:
+            continue
+        if share > 0 and g.available(current, n) < share:
+            continue
+        if d < best_d:
+            best_d = d
+            ties = [n]
+        elif ties:
+            ties.append(n)
+    if not ties:
+        return None
+    return ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+
+
+def reference_next_hop(g, emb, current, addr, share, rng):
     """next_hop as the hashed model states it: credit check, then keyed-hash distance."""
     cur_coord = emb.coord.get(current)
     if cur_coord is None:
         return None
-    d_cur = dist_cache.get(current)
-    if d_cur is None:
-        d_cur = dist_cache[current] = address_distance(cur_coord, addr)
-    best_d = d_cur
+    best_d = address_distance(cur_coord, addr)
     ties = []
     for n in g.sorted_neighbors(current):
         coord = emb.coord.get(n)
@@ -133,9 +167,7 @@ def reference_next_hop(g, emb, current, addr, share, rng, dist_cache):
             continue
         if share > 0 and g.available(current, n) < share:
             continue
-        d = dist_cache.get(n)
-        if d is None:
-            d = dist_cache[n] = address_distance(coord, addr)
+        d = address_distance(coord, addr)
         if d < best_d:
             best_d = d
             ties = [n]
@@ -166,12 +198,91 @@ def test_next_hop_matches_hashed_reference(seed, element_bits, share_units):
     share = credit(share_units)
     for r in sorted(emb.coord):
         addr = gen_return_address(emb.coord[r], 16, rnd, element_bits)
-        plain_cache, hashed_cache = {}, {}
         for cur in sorted(g.nodes):
             rng_plain, rng_hashed = random.Random(cur), random.Random(cur)
-            assert next_hop(g, emb, cur, addr, share, rng_plain, plain_cache) == \
-                reference_next_hop(g, emb, cur, addr, share, rng_hashed, hashed_cache)
+            assert next_hop(g, emb, cur, addr, share, rng_plain) == \
+                reference_next_hop(g, emb, cur, addr, share, rng_hashed)
             assert rng_plain.getstate() == rng_hashed.getstate()
+
+
+def assert_indexes_fresh(g, emb):
+    """Every cached neighbor index built from the node's current neighbor
+    list equals a fresh build (call after a next_hop, which drops moved ones)."""
+    assert not emb.moved
+    for node, (nbrs, trie) in emb.neighbor_index.items():
+        if nbrs is g.sorted_neighbors(node):
+            assert trie == build_neighbor_index(emb.coord, nbrs), node
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    element_bits=st.sampled_from([4, 16, 128]),
+    data=st.data(),
+)
+def test_next_hop_index_matches_scan_across_changes(seed, element_bits, data):
+    """The indexed next_hop picks the hop and draws the randomness of the plain
+    scan while links come and go, trees repair, single nodes move or drop out
+    of a tree, and all of it is rolled back."""
+    g = random_graph(24, 30, seed=seed)
+    rnd = random.Random(seed)
+    for u, v in list(g._links)[::5]:
+        g.set_link(u, v, 0)
+    embs = build_embeddings(g, g.select_landmarks(2, "degree"), seed, element_bits)
+    nodes = sorted(g.nodes) + [24, 25]  # two ids join only through link changes
+    undo: list | None = None  # weight deltas since begin_undo, while one is open
+    for _ in range(data.draw(st.integers(5, 30), label="steps")):
+        op = data.draw(st.sampled_from(["query", "query", "link", "link", "move", "undo"]), label="op")
+        if op == "link":
+            u = data.draw(st.sampled_from(nodes), label="u")
+            near = sorted(g.neighbors(u)) if u in g.nodes else []
+            v = data.draw(st.sampled_from(near if near and data.draw(st.booleans()) else nodes),
+                          label="v")
+            if u == v:
+                continue
+            new = credit(data.draw(st.sampled_from([0, 0, 1, 5, 30]), label="units"))
+            old = g.weight(u, v)
+            delta = g.set_link(u, v, new)
+            on_link_change(g, embs, u, v, old, new, rnd)
+            if undo is not None:
+                undo.append(delta)
+        elif op == "move":
+            # What a repair does to one node: detach it, then re-attach it under
+            # an attached neighbor with a fresh element, or leave it detached.
+            emb = embs[data.draw(st.integers(0, len(embs) - 1), label="tree")]
+            leaves = [n for n in sorted(emb.coord) if n != emb.landmark and not emb.children[n]]
+            if not leaves:
+                continue
+            x = data.draw(st.sampled_from(leaves), label="leaf")
+            emb.detach(x)
+            parents = [n for n in g.sorted_neighbors(x) if emb.attached(n)]
+            if parents and data.draw(st.booleans(), label="reattach"):
+                emb.attach(x, data.draw(st.sampled_from(parents), label="parent"),
+                           rnd.getrandbits(element_bits))
+        elif op == "undo":
+            if undo is None:
+                undo = []
+                for emb in embs:
+                    emb.begin_undo()
+            else:
+                g.rollback_weights(undo)
+                for emb in embs:
+                    emb.rollback_undo()
+                undo = None
+        else:
+            emb = embs[data.draw(st.integers(0, len(embs) - 1), label="tree")]
+            receiver = data.draw(st.sampled_from(sorted(emb.coord)), label="receiver")
+            share = credit(data.draw(st.sampled_from([0, 1, 10, 30]), label="share"))
+            # a short padded length leaves some neighbors deeper than the target
+            padded = max(data.draw(st.sampled_from([4, 8, 16]), label="padded"),
+                         len(emb.coord[receiver]))
+            addr = gen_return_address(emb.coord[receiver], padded, rnd, element_bits)
+            for cur in sorted(g.nodes):
+                rng_index, rng_scan = random.Random(cur), random.Random(cur)
+                assert next_hop(g, emb, cur, addr, share, rng_index) == \
+                    scan_next_hop(g, emb, cur, addr, share, rng_scan)
+                assert rng_index.getstate() == rng_scan.getstate()
+            assert_indexes_fresh(g, emb)
 
 
 # ---- route_probe ------------------------------------------------------------------
