@@ -157,7 +157,6 @@ def mpc_min_assign(
     paths: list[Path | None],
     c: int,
     rng: random.Random,
-    max_rounds: int | None = None,
 ) -> list[int] | None:
     """Assign per-path credits bounded by each path's minimum available credit.
 
@@ -176,13 +175,12 @@ def mpc_min_assign(
         return None
     shares = split_value(c, len(paths), rng)
     rounds = 0
-    limit = max_rounds if max_rounds is not None else 10 * len(paths)
     while True:
         over = [i for i in range(len(paths)) if shares[i] > z[i]]
         if not over:
             return shares
         rounds += 1
-        if rounds > limit:
+        if rounds > 10 * len(paths):
             return None
         excess = 0
         for i in over:
@@ -480,13 +478,12 @@ def _mpc_accounting(
 class GreedyExecutor:
     """Embedding-based routing (GE rows), with either credit rule."""
 
-    def __init__(self, credit_rule: str, address_len: int, addr_overhead: bool):
+    def __init__(self, credit_rule: str, addr_overhead: bool):
         self.credit_rule = credit_rule
-        self.address_len = address_len
         self.addr_overhead = addr_overhead
 
     def begin(self, g, embeddings, src, dst, value, rng):
-        ctx = TxContext(addrs=gen_addresses(embeddings, dst, rng, self.address_len))
+        ctx = TxContext(addrs=gen_addresses(embeddings, dst, rng))
         if self.addr_overhead and any(a is not None for a in ctx.addrs):
             ctx.setup_messages = len(embeddings)
             ctx.setup_delay = 1
@@ -586,11 +583,9 @@ class MaxFlowExecutor:
 Executor = GreedyExecutor | StructuralExecutor | MaxFlowExecutor
 
 
-def make_executor(
-    policy: RoutingPolicy, address_len: int = 16, addr_overhead: bool = True
-) -> Executor:
+def make_executor(policy: RoutingPolicy, addr_overhead: bool = True) -> Executor:
     if policy.path_rule == "FF":
         return MaxFlowExecutor()
     if policy.path_rule == "GE":
-        return GreedyExecutor(policy.credit_rule, address_len, addr_overhead)
+        return GreedyExecutor(policy.credit_rule, addr_overhead)
     return StructuralExecutor(policy.path_rule, policy.credit_rule)

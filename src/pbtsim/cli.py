@@ -301,10 +301,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---- compare ------------------------------------------------------------------
 
 
-def _parse_summary(path: str) -> tuple[str, list[list[str]]]:
+def _parse_summary(path: str) -> tuple[str, list[tuple[str, list[float]]]]:
+    """The fingerprint and the (label, means then deviations) data rows of a summary file."""
     fingerprint = None
     rows = []
     header_seen = False
+    width = 1 + 2 * len(SUMMARY_METRICS)
     for i, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -316,7 +318,13 @@ def _parse_summary(path: str) -> tuple[str, list[list[str]]]:
         if not header_seen:
             header_seen = True  # column header
             continue
-        rows.append(line.split(","))
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(f"{path}: expected {width} cells, got {len(cells)}", i)
+        try:
+            rows.append((cells[0], [float(cell) for cell in cells[1:]]))
+        except ValueError:
+            raise ParseError(f"{path}: non-numeric cell in {line!r}", i) from None
     if fingerprint is None or not rows:
         raise ConfigError(f"{path} is not a summary file")
     return fingerprint, rows
@@ -335,12 +343,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print("policy," + ",".join(SUMMARY_METRICS))
     out_lines = []
     for _, rows in parsed:
-        for row in rows:
-            label = row[0]
+        for label, values in rows:
             cells = []
             for j in range(len(SUMMARY_METRICS)):
-                mean = float(row[1 + j])
-                sd = float(row[1 + len(SUMMARY_METRICS) + j])
+                mean = values[j]
+                sd = values[len(SUMMARY_METRICS) + j]
                 cells.append(f"{mean:.4f}±{sd:.4f}")
             line = ",".join([label] + cells)
             print(line)

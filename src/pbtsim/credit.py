@@ -29,12 +29,13 @@ def credit(amount: int | str | float) -> int:
 
 
 def parse_credit(text: str, line: int | None = None) -> int:
-    """Parse a decimal string with up to 6 fractional digits into micro-units."""
+    """Parse a decimal string of ASCII digits, at most 6 after the point, into micro-units."""
     text = text.strip()
     negative = text.startswith("-")
     body = text[1:] if negative or text.startswith("+") else text
     whole, _, frac = body.partition(".")
-    if not (whole or frac) or (whole and not whole.isdigit()) or (frac and not frac.isdigit()):
+    if not (whole or frac) or not body.isascii() \
+            or (whole and not whole.isdigit()) or (frac and not frac.isdigit()):
         raise ParseError(f"invalid amount {text!r}", line)
     if len(frac) > FRACTION_DIGITS:
         raise ParseError(f"more than {FRACTION_DIGITS} fractional digits in {text!r}", line)

@@ -201,9 +201,6 @@ class Embedding:
                 self.children[old_parent].add(node)
         self._journal = None
 
-    def end_undo(self) -> None:
-        self._journal = None
-
     # -- queries --
 
     def attached(self, node: NodeId) -> bool:

@@ -1,13 +1,28 @@
 """Event-driven execution of transaction workloads with metric collection.
 
-Two modes mirror the evaluation methodology. Static mode executes each
-transaction against the same initial state: the payment settles, any
-on-demand repair runs (and its messages are counted), and then both the
-weights and the trees are restored, keeping transactions independent and
-policy comparisons fair. Dynamic mode lets the graph evolve: link-change
-events mutate weights, failed transactions are requeued with a random
-backoff, and metrics are binned into epochs of one thousand mean
-inter-transaction times.
+Every payment follows one lifecycle in both modes. A payment with an
+unknown endpoint, a self-payment or a non-positive value fails at once,
+without an attempt, and still counts in its epoch. Otherwise the executor
+begins it once (return addresses, set-up messages) and then attempts it up
+to ``attempts`` times. Each attempt (``_attempt``) asks the lockstep
+max-flow oracle first when it is on, runs the executor, adds the attempt's
+messages, checks the outcome against the oracle and, in audit mode, against
+money conservation, and, once the payment settles under an on-demand
+policy, runs the repairs the settlement's weight changes trigger and
+returns their message count. The payment's record (``_Payment.metric``)
+is built from its counts and its last attempt, and its epoch is the one
+the payment started in.
+
+The two modes differ only around that lifecycle:
+
+* Static mode executes each transaction against the same initial state:
+  all attempts of a payment run back to back, and after the last one both
+  the weights and the trees are restored, keeping transactions independent
+  and policy comparisons fair. Epochs are counted by transaction index.
+* Dynamic mode lets the graph evolve: link-change events mutate weights
+  between attempts, a failed attempt is requeued with a random backoff
+  within the retry window, and epochs span one thousand mean
+  inter-transaction times by default.
 
 Periodic policies pay one message per tree per undirected edge every
 epoch (the initial build counts as the first rebuild); on-demand policies
@@ -28,13 +43,7 @@ from .baselines import (
     flow_feasible,
     make_executor,
 )
-from .embedding import (
-    DEFAULT_ADDRESS_LEN,
-    DEFAULT_ELEMENT_BITS,
-    Embedding,
-    build_embeddings,
-    derive_seed,
-)
+from .embedding import Embedding, build_embeddings, derive_seed
 from .errors import ConfigError, InternalError
 from .graph import CreditGraph, NodeId
 from .stabilization import on_link_change, periodic_rebuild
@@ -58,8 +67,6 @@ class SimParams:
     tl: int | None = None  # dynamic retry window; defaults to twice the mean gap
     landmark_mode: str = "degree"
     seed: int = 1
-    address_len: int = DEFAULT_ADDRESS_LEN
-    element_bits: int = DEFAULT_ELEMENT_BITS
     addr_overhead: bool = True
     lockstep_oracle: bool = False
     # audit mode re-derives money conservation per successful transaction:
@@ -226,33 +233,77 @@ def _setup(
             params.trees, params.landmark_mode, derive_seed(params.seed, "landmarks")
         )
         if bootstrap:
-            embeddings = build_embeddings(
-                g, landmarks, derive_seed(params.seed, "bootstrap"), params.element_bits
-            )
+            embeddings = build_embeddings(g, landmarks, derive_seed(params.seed, "bootstrap"))
     rng = random.Random(derive_seed(params.seed, "run"))
-    return landmarks, embeddings, rng, make_executor(
-        policy, params.address_len, params.addr_overhead
-    )
+    return landmarks, embeddings, rng, make_executor(policy, params.addr_overhead)
+
+
+@dataclass
+class _Payment:
+    """One payment from its start to its record: its counts so far and its epoch.
+
+    ``ctx`` stays None for a payment whose endpoints are invalid, which fails
+    without an attempt.
+    """
+
+    index: int
+    event: TransactionEvent
+    epoch: EpochMetric
+    ctx: TxContext | None = None
+    attempts: int = 0
+    messages: int = 0
+    feasible: bool | None = None
+
+    def metric(self, out: AttemptOutcome | None) -> TxMetric:
+        """Count the payment in its epoch and return its record.
+
+        ``out`` is the last attempt, or None when no attempt was made.
+        """
+        em = self.epoch
+        em.transactions += 1
+        if out is None:
+            return TxMetric(self.index, self.event.time, False, 0, 0, 0, [])
+        em.successes += out.success
+        return TxMetric(
+            self.index, self.event.time, out.success, self.attempts,
+            self.ctx.setup_messages + self.messages, self.ctx.setup_delay + out.delay,
+            out.path_lengths if out.success else [], self.feasible,
+        )
 
 
 def _attempt(
     executor: Executor,
     g: CreditGraph,
     embeddings: list[Embedding],
-    ev: TransactionEvent,
-    ctx: TxContext,
+    pay: _Payment,
     rng: random.Random,
     params: SimParams,
-    feasible: bool | None,
-    index: int,
-) -> AttemptOutcome:
-    """One attempt, checked against the oracle and, in audit mode, the ledger."""
-    out = executor.attempt(g, embeddings, ev.src, ev.dst, ev.value, ctx, rng)
-    if out.success and feasible is False:
-        raise InternalError(f"policy succeeded on max-flow-infeasible transaction {index}")
-    if out.success and params.audit:
+    on_demand: bool,
+) -> tuple[AttemptOutcome, int]:
+    """One attempt of a payment: the outcome and the messages of the repairs it caused.
+
+    The lockstep oracle answers before the attempt and counts in the
+    payment's epoch on the first attempt only; a success is checked against
+    it and, in audit mode, against the ledger. A settlement under an
+    on-demand policy triggers the repairs of its weight changes.
+    """
+    ev = pay.event
+    if params.lockstep_oracle:
+        pay.feasible = flow_feasible(g, ev.src, ev.dst, ev.value)
+        if pay.feasible and pay.attempts == 0:
+            pay.epoch.oracle_feasible += 1
+    out = executor.attempt(g, embeddings, ev.src, ev.dst, ev.value, pay.ctx, rng)
+    pay.attempts += 1
+    pay.messages += out.messages
+    if not out.success:
+        return out, 0
+    if pay.feasible is False:
+        raise InternalError(f"policy succeeded on max-flow-infeasible transaction {pay.index}")
+    if params.audit:
         _audit_settlement(ev, out.weight_deltas)
-    return out
+    if on_demand and out.weight_deltas:
+        return out, _repair_messages(g, embeddings, out.weight_deltas, rng)
+    return out, 0
 
 
 # ---- static mode ----------------------------------------------------------------
@@ -283,53 +334,30 @@ def run_static(
         epoch = idx // params.epoch
         if policy.periodic and idx % params.epoch == 0:
             embeddings, msgs = periodic_rebuild(
-                g, landmarks, derive_seed(params.seed, f"rebuild:{epoch}"), params.element_bits
+                g, landmarks, derive_seed(params.seed, f"rebuild:{epoch}")
             )
             metrics.epoch(epoch).stabilization_messages += msgs
-        em = metrics.epoch(epoch)
-        em.transactions += 1
-
+        pay = _Payment(idx, ev, metrics.epoch(epoch))
         if not _valid_endpoints(g, ev):
-            metrics.transactions.append(TxMetric(idx, ev.time, False, 0, 0, 0, []))
+            metrics.transactions.append(pay.metric(None))
             continue
-
-        feasible: bool | None = None
-        if params.lockstep_oracle:
-            feasible = flow_feasible(g, ev.src, ev.dst, ev.value)
-            if feasible:
-                em.oracle_feasible += 1
 
         if policy.on_demand:
             for emb in embeddings:
                 emb.begin_undo()
-
-        ctx = executor.begin(g, embeddings, ev.src, ev.dst, ev.value, rng)
-        messages = ctx.setup_messages
-        for used in range(1, params.attempts + 1):
-            out = _attempt(executor, g, embeddings, ev, ctx, rng, params, feasible, idx)
-            messages += out.messages
+        pay.ctx = executor.begin(g, embeddings, ev.src, ev.dst, ev.value, rng)
+        for _ in range(params.attempts):
+            out, stab = _attempt(executor, g, embeddings, pay, rng, params, policy.on_demand)
             if out.success:
                 break
 
-        stab = 0
         if out.weight_deltas:
-            if policy.on_demand:
-                stab = _repair_messages(g, embeddings, out.weight_deltas, rng)
             g.rollback_weights(out.weight_deltas)
         if policy.on_demand:
             for emb in embeddings:
                 emb.rollback_undo()
-        em.stabilization_messages += stab
-        em.successes += out.success
-
-        metrics.transactions.append(
-            TxMetric(
-                idx, ev.time, out.success, used, messages,
-                ctx.setup_delay + out.delay,
-                out.path_lengths if out.success else [],
-                feasible,
-            )
-        )
+        pay.epoch.stabilization_messages += stab
+        metrics.transactions.append(pay.metric(out))
 
     if g.total_reserved() != 0:
         raise InternalError("reservations leaked across the run")
@@ -337,15 +365,6 @@ def run_static(
 
 
 # ---- dynamic mode -----------------------------------------------------------------
-
-
-@dataclass
-class _PendingTx:
-    index: int
-    event: TransactionEvent
-    ctx: TxContext
-    attempts_done: int
-    messages: int
 
 
 @dataclass
@@ -415,19 +434,6 @@ def run_dynamic(
         metrics.epoch(0).stabilization_messages += params.trees * g.undirected_edge_count()
     tx_index = 0
 
-    def finish(pending: _PendingTx, success: bool, delay: int, lengths: list[int],
-               feasible: bool | None) -> None:
-        origin_epoch = sched.epoch_of(pending.event.time)
-        em = metrics.epoch(origin_epoch)
-        em.transactions += 1
-        em.successes += success
-        metrics.transactions.append(
-            TxMetric(
-                pending.index, pending.event.time, success, pending.attempts_done,
-                pending.messages, delay, lengths if success else [], feasible,
-            )
-        )
-
     while heap:
         t, _, item = heapq.heappop(heap)
         e = sched.epoch_of(t)
@@ -438,7 +444,7 @@ def run_dynamic(
                         params.trees * g.undirected_edge_count()
                     )
                 embeddings, _ = periodic_rebuild(
-                    g, landmarks, derive_seed(params.seed, f"rebuild:{e}"), params.element_bits
+                    g, landmarks, derive_seed(params.seed, f"rebuild:{e}")
                 )
             current_epoch = e
 
@@ -450,39 +456,25 @@ def run_dynamic(
             continue
 
         if isinstance(item, TransactionEvent):
-            if not _valid_endpoints(g, item):
-                pending = _PendingTx(tx_index, item, TxContext(), 0, 0)
-                tx_index += 1
-                finish(pending, False, 0, [], None)
-                continue
-            ctx = executor.begin(g, embeddings, item.src, item.dst, item.value, rng)
-            pending = _PendingTx(tx_index, item, ctx, 0, ctx.setup_messages)
+            pay = _Payment(tx_index, item, metrics.epoch(sched.epoch_of(item.time)))
             tx_index += 1
+            if not _valid_endpoints(g, item):
+                metrics.transactions.append(pay.metric(None))
+                continue
+            pay.ctx = executor.begin(g, embeddings, item.src, item.dst, item.value, rng)
         else:
-            pending = item  # a retry
+            pay = item  # a retry
 
-        ev = pending.event
-        feasible: bool | None = None
-        if params.lockstep_oracle:
-            feasible = flow_feasible(g, ev.src, ev.dst, ev.value)
-            if pending.attempts_done == 0 and feasible:
-                metrics.epoch(sched.epoch_of(ev.time)).oracle_feasible += 1
-        out = _attempt(
-            executor, g, embeddings, ev, pending.ctx, rng, params, feasible, pending.index
-        )
-        pending.attempts_done += 1
-        pending.messages += out.messages
-        if out.success:
-            if policy.on_demand and out.weight_deltas:
-                msgs = _repair_messages(g, embeddings, out.weight_deltas, rng)
-                metrics.epoch(e).stabilization_messages += msgs
-            finish(pending, True, pending.ctx.setup_delay + out.delay, out.path_lengths, feasible)
-        elif pending.attempts_done < params.attempts:
+        out, stab = _attempt(executor, g, embeddings, pay, rng, params, policy.on_demand)
+        if out.success and policy.on_demand:
+            # Also when stab is 0: the settlement opens the current epoch's record.
+            metrics.epoch(e).stabilization_messages += stab
+        if not out.success and pay.attempts < params.attempts:
             retry_at = t + rng.randrange(tl + 1)
-            heapq.heappush(heap, (retry_at, next_seq, pending))
+            heapq.heappush(heap, (retry_at, next_seq, pay))
             next_seq += 1
         else:
-            finish(pending, False, pending.ctx.setup_delay + out.delay, [], feasible)
+            metrics.transactions.append(pay.metric(out))
 
     if g.total_reserved() != 0:
         raise InternalError("reservations leaked across the run")

@@ -405,11 +405,10 @@ def gen_addresses(
     embeddings: list[Embedding],
     dst: NodeId,
     rng: random.Random,
-    delta: int = DEFAULT_ADDRESS_LEN,
 ) -> list[ReturnAddress | None]:
     """Fresh return addresses for dst, one per tree it is attached in."""
     return [
-        gen_return_address(emb.coord[dst], delta, rng, emb.element_bits)
+        gen_return_address(emb.coord[dst], DEFAULT_ADDRESS_LEN, rng, emb.element_bits)
         if emb.attached(dst)
         else None
         for emb in embeddings

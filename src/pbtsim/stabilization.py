@@ -169,9 +169,7 @@ def periodic_rebuild(
     g: CreditGraph,
     landmarks: list[NodeId],
     seed: int,
-    element_bits: int | None = None,
 ) -> tuple[list[Embedding], int]:
     """Rebuild all trees from scratch; costs one message per tree per edge."""
-    kwargs = {} if element_bits is None else {"element_bits": element_bits}
-    embeddings = build_embeddings(g, landmarks, seed, **kwargs)
+    embeddings = build_embeddings(g, landmarks, seed)
     return embeddings, len(landmarks) * g.undirected_edge_count()

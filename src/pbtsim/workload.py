@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .credit import format_credit, parse_credit
+from .credit import SCALE, format_credit, parse_credit
 from .errors import ConfigError, ParseError
 from .graph import CreditGraph, NodeId
 
@@ -76,7 +76,7 @@ class LinkChangeFile:
 
 def _parse_node(token: str, line: int) -> NodeId:
     token = token.strip()
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise ParseError(f"invalid node id {token!r}", line)
     return int(token)
 
@@ -364,7 +364,6 @@ def generate_synthetic(
     weight_range: tuple[float, float] = (0.5, 500.0),
     value_range: tuple[float, float] = (1.0, 100.0),
     unidirectional_fraction: float = 0.0,
-    time_step: int = 10**6,
 ) -> tuple[SnapshotFile, TransactionFile]:
     """Deterministic desk-scale workload.
 
@@ -379,6 +378,13 @@ def generate_synthetic(
         raise ConfigError("need at least two nodes")
     if model not in ("scale-free", "small-world"):
         raise ConfigError(f"unknown model {model!r}")
+    # Without links there are no transaction endpoints to draw.
+    if model == "scale-free" and m < 1:
+        raise ConfigError("scale-free model needs m >= 1")
+    if model == "small-world" and k < 2:
+        raise ConfigError("small-world model needs k >= 2")
+    if tx_count < 0:
+        raise ConfigError("tx_count must be >= 0")
     if weight_range[0] <= 0 or value_range[0] <= 0 or weight_range[0] > weight_range[1] \
             or value_range[0] > value_range[1]:
         raise ConfigError("ranges must be positive and ordered")
@@ -408,5 +414,5 @@ def generate_synthetic(
         dst = endpoints[rng.randrange(len(endpoints))]
         while dst == src:
             dst = endpoints[rng.randrange(len(endpoints))]
-        txs.append(TransactionEvent(i * time_step, _log_uniform(rng, *value_range), src, dst))
+        txs.append(TransactionEvent(i * SCALE, _log_uniform(rng, *value_range), src, dst))
     return SnapshotFile(records), TransactionFile(txs)

@@ -111,6 +111,15 @@ def test_run_invalid_utf8_exits_2_with_line(workload, tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["1,²,5", "1,2,²", "1,٢,5"])
+def test_run_non_ascii_digit_exits_2_with_line(workload, tmp_path, capsys, row):
+    _, txs = workload
+    snap = tmp_path / "snapshot.csv"
+    snap.write_text(f"u,v,weight\n0,1,5\n{row}\n", encoding="utf-8")
+    assert main(run_args((snap, txs), tmp_path / "x")) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_run_self_link_change_exits_2_with_line(workload, tmp_path, capsys):
     changes = tmp_path / "changes.csv"
     changes.write_text("time,u,v,new_weight\n0,0,1,5\n1,1,1,5\n")
@@ -160,6 +169,23 @@ def test_compare_refuses_mismatched_fingerprints(workload, tmp_path):
     assert main(["compare", str(out1 / "summary.csv"), str(out2 / "summary.csv")]) == 2
 
 
+@pytest.mark.parametrize("bad_row", ["GE-RAND-OND,0.5,1", "GE-RAND-OND" + ",x" * 10])
+def test_compare_malformed_summary_exits_2_before_printing(
+        workload, tmp_path, capsys, bad_row):
+    out1, out2 = tmp_path / "m1", tmp_path / "m2"
+    assert main(run_args(workload, out1)) == 0
+    assert main(run_args(workload, out2, policy="LM-MUL-PER")) == 0
+    summary = out2 / "summary.csv"
+    lines = summary.read_text().splitlines()
+    lines[-1] = bad_row
+    summary.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["compare", str(out1 / "summary.csv"), str(summary)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line {len(lines)}" in captured.err and str(summary) in captured.err
+
+
 def test_generate_deterministic_files(tmp_path):
     pairs = []
     for tag in ("a", "b"):
@@ -171,6 +197,19 @@ def test_generate_deterministic_files(tmp_path):
         ]) == 0
         pairs.append((snap.read_bytes(), txs.read_bytes()))
     assert pairs[0] == pairs[1]
+
+
+@pytest.mark.parametrize("extra", [
+    ("--m", "0"),
+    ("--model", "small-world", "--k", "1"),
+    ("--tx-count", "-1"),
+])
+def test_generate_without_links_or_with_negative_count_exits_2(tmp_path, extra):
+    args = ["generate", "--nodes", "10", "--tx-count", "5", *extra,
+            "--snapshot-out", str(tmp_path / "s.csv"),
+            "--transactions-out", str(tmp_path / "t.csv")]
+    assert main(args) == 2
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_preprocess_subcommand(tmp_path, capsys):

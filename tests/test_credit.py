@@ -17,7 +17,7 @@ def test_parse_fractions_exact():
     assert parse_credit("-2.25") == -2_250_000
 
 
-@pytest.mark.parametrize("bad", ["", ".", "1.2.3", "1,5", "abc", "1.1234567"])
+@pytest.mark.parametrize("bad", ["", ".", "1.2.3", "1,5", "abc", "1.1234567", "²", "1.²", "٢", "-٣.5"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ParseError):
         parse_credit(bad)

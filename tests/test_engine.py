@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -207,3 +208,51 @@ def test_relative_success_twin():
     assert len(series) == len(metrics.epochs)
     for value in series:
         assert value is None or value >= 0
+
+
+# ---- lockstep oracle and audit, pinned ------------------------------------------------
+
+# sha256 of repr([t.__dict__ for t in m.transactions]) and of
+# repr([e.__dict__ for e in m.epochs]), recorded before the static and the
+# dynamic loop shared one attempt step. The CLI golden digests never turn on
+# the lockstep oracle or the audit.
+PINNED_DIGESTS = {
+    ("static", "GE-RAND-OND"): (
+        "e0ed2b5f6599724728cd694d48c9061012e61a71e6a72537884036599c14f41c",
+        "3f31fe12d0cec106106a69dbb043621567a64b6c7a061540219552c6b69b3c13",
+    ),
+    ("static", "LM-MUL-PER"): (
+        "74094e73f7f7ec38165980dacec24676166635a62f4fdbe0d5712eaf537d1827",
+        "9d8e7a4696bffebc326bd3eb27e9bc6ba3424fbfa7c81d286c443ceda735f692",
+    ),
+    ("dynamic", "GE-RAND-OND"): (
+        "127bd5520b64174e8af9c2d46f81639240d150d20dbdb58711a4a10c6f7c2349",
+        "e8dc151862f0926fb7fe035ce76890444684abaf73bc523b47045c19eda7455e",
+    ),
+    ("dynamic", "LM-MUL-PER"): (
+        "28b272731a691ba535090fd1dbae0a83fa4ce04bf8bd39d44d0311abad99b218",
+        "25494ecbb3c65c12e3652b2f3608767cd0972bd6b19aa990180e02e664321b89",
+    ),
+}
+
+
+def sha256_of(records):
+    return hashlib.sha256(repr([r.__dict__ for r in records]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode,label", sorted(PINNED_DIGESTS))
+def test_lockstep_oracle_and_audit_output_pinned(mode, label):
+    g, txs = desk_workload(tx=250)
+    params = SimParams(seed=7, epoch=50, attempts=3, lockstep_oracle=True, audit=True)
+    if mode == "static":
+        m = run_static(g, txs, parse_policy(label), params)
+    else:
+        changes = [LinkChangeEvent(txs[40].time, 0, 1, credit(5)),
+                   LinkChangeEvent(txs[90].time, 2, 3, 0)]
+        events = sorted(changes + txs, key=lambda e: e.time)
+        m = run_dynamic(g, events, parse_policy(label), params)
+        for e in m.epochs:
+            assert e.oracle_feasible >= e.successes
+    assert all(t.oracle_feasible is not None for t in m.transactions)
+    assert any(t.attempts > 1 for t in m.transactions)
+    assert (sha256_of(m.transactions), sha256_of(m.epochs)) == PINNED_DIGESTS[(mode, label)]

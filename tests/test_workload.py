@@ -60,6 +60,10 @@ def test_link_changes_round_trip():
     ("u,v,weight\n0,x,1\n", 2),
     ("u,v,weight\n0,1,1.1234567\n", 2),
     ("u,v,weight\n0,1,-1\n", 2),
+    # str.isdigit() holds for these, but only ASCII digits are node ids and amounts
+    ("u,v,weight\n0,1,5\n1,²,5\n", 3),
+    ("u,v,weight\n0,1,5\n1,2,²\n", 3),
+    ("u,v,weight\n0,1,5\n1,٢,5\n", 3),
 ])
 def test_snapshot_parse_errors_carry_line(text, error_line):
     with pytest.raises(ParseError) as err:
@@ -184,6 +188,12 @@ def test_generate_rejects_bad_params():
         generate_synthetic(10, weight_range=(0, 5))
     with pytest.raises(ConfigError):
         generate_synthetic(10, unidirectional_fraction=1.5)
+    with pytest.raises(ConfigError):
+        generate_synthetic(10, tx_count=5, m=0)
+    with pytest.raises(ConfigError):
+        generate_synthetic(10, model="small-world", tx_count=5, k=1)
+    with pytest.raises(ConfigError):
+        generate_synthetic(10, tx_count=-1)
 
 
 def test_scale_free_tail_heavier_than_small_world():
