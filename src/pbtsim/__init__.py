@@ -1,6 +1,6 @@
 """Routing engine and discrete-event simulator for path-based transaction networks."""
 
-from .credit import SCALE, credit, format_credit, parse_credit
+from .credit import SCALE, credit, format_credit, parse_credit, parse_int
 from .errors import ConfigError, CoordinateTooDeep, InternalError, ParseError, PbtError
 from .graph import CreditGraph, LinkDelta, NodeId
 from .embedding import (
@@ -42,9 +42,7 @@ from .engine import (
     run_static,
 )
 from .workload import (
-    LinkChangeFile,
     SnapshotFile,
-    TransactionFile,
     build_graph,
     generate_synthetic,
     parse_link_changes,

@@ -4,7 +4,9 @@ Exit codes are a stable contract: 0 success, 2 usage or configuration
 problems, 3 runtime invariant violations. Every summary file embeds the
 full configuration and a workload content hash so comparisons are
 provably like-for-like; `compare` refuses summaries whose fingerprints
-differ.
+differ. Every integer read from a file, a flag or a config value is a
+nonnegative number in ASCII digits (`credit.parse_int`); anything else
+exits 2.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import statistics
 import sys
 
 from .baselines import RoutingPolicy, flow_feasible, parse_policy
-from .credit import format_credit, parse_credit
+from .credit import format_credit, parse_credit, parse_int
 from .engine import (
     Event,
     RunMetrics,
@@ -63,22 +65,13 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _parse_trees(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            lo_i, hi_i = int(lo), int(hi)
-        except ValueError:
-            raise ConfigError(f"bad trees range {text!r}") from None
-        if lo_i < 1 or hi_i < lo_i:
-            raise ConfigError(f"bad trees range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    try:
-        value = int(text)
-    except ValueError:
-        raise ConfigError(f"bad trees value {text!r}") from None
-    if value < 1:
-        raise ConfigError("trees must be >= 1")
-    return [value]
+    """A tree count, or every count of a `lo..hi` sweep."""
+    lo_text, sweep, hi_text = text.partition("..")
+    lo = parse_int(lo_text, "trees")
+    hi = parse_int(hi_text, "trees") if sweep else lo
+    if lo < 1 or hi < lo:
+        raise ConfigError(f"bad trees value {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _parse_bool(text: str) -> bool:
@@ -91,9 +84,19 @@ def _parse_bool(text: str) -> bool:
 
 def _atomic_write(path: str, content: str) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from None
+
+
+def _make_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create directory {path}: {e.strerror}") from None
 
 
 def _read_text(path: str) -> str:
@@ -124,19 +127,14 @@ class _RunOptions:
 
         def pick(name: str, default: str | None = None) -> str | None:
             flag = getattr(args, name, None)
-            if flag is not None:
-                return str(flag)
-            return cfg.get(name, default)
+            return flag if flag is not None else cfg.get(name, default)
 
         def pick_int(name: str, default: str | None = None) -> int | None:
             """The value as an integer; None if it is unset or empty and has no default."""
             text = pick(name, default)
             if not text and default is None:
                 return None
-            try:
-                return int(text)
-            except ValueError:
-                raise ConfigError(f"{name} must be an integer, got {text!r}") from None
+            return parse_int(text, name)
 
         self.mode = pick("mode", "static")
         if self.mode not in ("static", "dynamic"):
@@ -236,11 +234,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     changes_text = _read_text(opts.link_changes) if opts.link_changes else None
 
     snapshot = parse_snapshot(snapshot_text)
-    tx_file = parse_transactions(tx_text)
+    pool = parse_transactions(tx_text)
     changes = (
         parse_link_changes(changes_text, reject_self_links=True)
         if changes_text is not None
-        else None
+        else []
     )
 
     workload_bytes = snapshot_text.encode() + tx_text.encode() + (
@@ -249,15 +247,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     fingerprint = opts.fingerprint(workload_bytes)
 
     g = build_graph(snapshot)
-    pool = tx_file.records
     if opts.feasible_only:
         pool = [t for t in pool if t.src in g.nodes and t.dst in g.nodes
                 and flow_feasible(g, t.src, t.dst, t.value)]
         if not pool:
             raise ConfigError("no max-flow-feasible transactions in the pool")
-    change_events = changes.records if changes is not None else []
+    if opts.sample and not pool:
+        raise ConfigError("cannot sample from an empty transaction pool")
 
-    os.makedirs(opts.out, exist_ok=True)
+    _make_dir(opts.out)
     summary_lines = [
         f"# fingerprint={fingerprint}",
         f"# config: {opts.config_line()}",
@@ -282,9 +280,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             if opts.mode == "static":
                 metrics = run_static(g, txs, opts.policy, params)
             else:
-                events: list[Event] = sorted(
-                    change_events + list(txs), key=lambda e: e.time
-                )
+                events: list[Event] = sorted(changes + txs, key=lambda e: e.time)
                 metrics = run_dynamic(g, events, opts.policy, params)
             run_metrics.append(metrics)
             slug = _slug(label)
@@ -391,13 +387,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     snapshot = parse_snapshot(_read_text(args.snapshot))
     txs = parse_transactions(_read_text(args.transactions))
-    changes = (
-        parse_link_changes(_read_text(args.link_changes))
-        if args.link_changes
-        else parse_link_changes("time,u,v,new_weight\n")
-    )
+    changes = parse_link_changes(_read_text(args.link_changes)) if args.link_changes else []
     result = preprocess(snapshot, txs, changes)
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_dir(args.out_dir)
     _atomic_write(os.path.join(args.out_dir, "snapshot.csv"), serialize_snapshot(result.snapshot))
     _atomic_write(os.path.join(args.out_dir, "transactions.csv"), serialize_transactions(result.transactions))
     _atomic_write(os.path.join(args.out_dir, "link_changes.csv"), serialize_link_changes(result.link_changes))
@@ -408,6 +400,14 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 # ---- entry point ------------------------------------------------------------------
+
+
+def _flag_int(text: str) -> int:
+    """argparse type of the integer flags: parse_int, reported as a usage error."""
+    try:
+        return parse_int(text, "value")
+    except ParseError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,13 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--link-changes", dest="link_changes")
     run.add_argument("--out")
     run.add_argument("--trees", help="tree count, or a sweep like 1..7")
-    run.add_argument("--attempts", type=int)
-    run.add_argument("--epoch", type=int)
+    run.add_argument("--attempts")
+    run.add_argument("--epoch")
     run.add_argument("--tl")
     run.add_argument("--landmarks", choices=("degree", "random"))
-    run.add_argument("--runs", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--sample", type=int, help="transactions sampled per run")
+    run.add_argument("--runs")
+    run.add_argument("--seed")
+    run.add_argument("--sample", help="transactions sampled per run")
     run.add_argument("--feasible-only", dest="feasible_only", action="store_const", const="true",
                      help="restrict the pool to max-flow-feasible transactions")
     run.set_defaults(func=cmd_run)
@@ -440,12 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.set_defaults(func=cmd_compare)
 
     gen = sub.add_parser("generate", help="write a synthetic workload")
-    gen.add_argument("--nodes", type=int, required=True)
+    gen.add_argument("--nodes", type=_flag_int, required=True)
     gen.add_argument("--model", choices=("scale-free", "small-world"), default="scale-free")
-    gen.add_argument("--tx-count", dest="tx_count", type=int, default=0)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--m", type=int, default=2)
-    gen.add_argument("--k", type=int, default=4)
+    gen.add_argument("--tx-count", dest="tx_count", type=_flag_int, default=0)
+    gen.add_argument("--seed", type=_flag_int, default=0)
+    gen.add_argument("--m", type=_flag_int, default=2)
+    gen.add_argument("--k", type=_flag_int, default=4)
     gen.add_argument("--rewire-p", dest="rewire_p", type=float, default=0.1)
     gen.add_argument("--weight-range", dest="weight_range", default="0.5:500")
     gen.add_argument("--value-range", dest="value_range", default="1:100")

@@ -43,6 +43,14 @@ def parse_credit(text: str, line: int | None = None) -> int:
     return -value if negative else value
 
 
+def parse_int(text: str, what: str, line: int | None = None) -> int:
+    """Parse a nonnegative integer of ASCII digits; `what` names it in the error."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"{what} must be an integer, got {text!r}", line)
+    return int(text)
+
+
 def format_credit(value: int) -> str:
     """Canonical decimal rendering; trailing zeros trimmed, integral -> no dot."""
     sign = "-" if value < 0 else ""

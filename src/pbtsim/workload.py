@@ -7,9 +7,17 @@ at most six fractional digits:
     transactions: time,value,src,dst
     link changes: time,u,v,new_weight
 
-Timestamps in event files must be nondecreasing. Parsing and serializing
-round-trip exactly because amounts live in integer micro-units and are
-rendered canonically.
+One reader serves all three: `_rows` checks the header and gives each
+nonblank row with its line number, requiring the header's field count,
+and event files also pass through one check (`_events`) that times
+start at 0 and never decrease. A snapshot parses to a `SnapshotFile`
+(its records and whether the limit column is present); an event file
+parses to a plain list of `TransactionEvent` or `LinkChangeEvent`. Node
+ids are nonnegative integers in ASCII digits (`credit.parse_int`),
+amounts and times are decimals in ASCII digits (`credit.parse_credit`);
+anything else raises `ParseError` with its line. Parsing and
+serializing round-trip exactly because amounts live in integer
+micro-units and are rendered canonically.
 
 Preprocessing applies the dataset cleaning rules in order: drop invalid
 credit arrangements (weight above the granted limit, only checkable when
@@ -24,9 +32,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .credit import SCALE, format_credit, parse_credit
+from .credit import SCALE, format_credit, parse_credit, parse_int
 from .errors import ConfigError, ParseError
 from .graph import CreditGraph, NodeId
 
@@ -61,132 +70,115 @@ class SnapshotFile:
     has_limit: bool = False
 
 
-@dataclass
-class TransactionFile:
-    records: list[TransactionEvent] = field(default_factory=list)
-
-
-@dataclass
-class LinkChangeFile:
-    records: list[LinkChangeEvent] = field(default_factory=list)
-
-
 # ---- parsing and serialization ------------------------------------------------
 
-
-def _parse_node(token: str, line: int) -> NodeId:
-    token = token.strip()
-    if not (token.isascii() and token.isdigit()):
-        raise ParseError(f"invalid node id {token!r}", line)
-    return int(token)
+_SNAPSHOT_HEADERS = ("u,v,weight", "u,v,weight,limit")
+_TRANSACTION_HEADER = "time,value,src,dst"
+_LINK_CHANGE_HEADER = "time,u,v,new_weight"
 
 
-def _split(line_text: str, expected: int, line: int) -> list[str]:
-    parts = line_text.split(",")
-    if len(parts) != expected:
-        raise ParseError(f"expected {expected} fields, got {len(parts)}", line)
-    return parts
+def _rows(text: str, *headers: str) -> tuple[str, Iterator[tuple[int, list[str]]]]:
+    """The file's header, which must be one of `headers`, and its rows.
+
+    Rows come as (line number, fields); blank lines are skipped and every
+    other row must have as many fields as the header.
+    """
+    lines = text.splitlines()
+    header = lines[0].strip() if lines else ""
+    if header not in headers:
+        expected = " or ".join(repr(h) for h in headers)
+        raise ParseError(f"expected header {expected}, got {header!r}", 1)
+    width = header.count(",") + 1
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        for line, raw in enumerate(lines[1:], start=2):
+            fields = raw.split(",")
+            if len(fields) == width:
+                yield line, fields
+            elif raw.strip():
+                raise ParseError(f"expected {width} fields, got {len(fields)}", line)
+
+    return header, rows()
+
+
+def _events(text: str, header: str) -> Iterator[tuple[int, int, list[str]]]:
+    """(line, time, fields) per row of an event file; times start at 0 and never decrease."""
+    _, rows = _rows(text, header)
+    prev = 0
+    for line, fields in rows:
+        time = parse_credit(fields[0], line)
+        if time < prev:
+            raise ParseError("negative time" if time < 0 else "timestamps must be nondecreasing", line)
+        prev = time
+        yield line, time, fields
+
+
+def _file(header: str, lines: Iterable[str]) -> str:
+    return "\n".join([header, *lines]) + "\n"
 
 
 def parse_snapshot(text: str) -> SnapshotFile:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty snapshot file", 1)
-    header = lines[0].strip()
-    if header == "u,v,weight":
-        has_limit = False
-    elif header == "u,v,weight,limit":
-        has_limit = True
-    else:
-        raise ParseError(f"unrecognized snapshot header {header!r}", 1)
+    header, rows = _rows(text, *_SNAPSHOT_HEADERS)
+    has_limit = header == _SNAPSHOT_HEADERS[1]
     records = []
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = _split(raw, 4 if has_limit else 3, i)
-        u = _parse_node(parts[0], i)
-        v = _parse_node(parts[1], i)
-        weight = parse_credit(parts[2], i)
-        limit = parse_credit(parts[3], i) if has_limit else None
+    for line, fields in rows:
+        u = parse_int(fields[0], "node id", line)
+        v = parse_int(fields[1], "node id", line)
+        weight = parse_credit(fields[2], line)
+        limit = parse_credit(fields[3], line) if has_limit else None
         if weight < 0 or (limit is not None and limit < 0):
-            raise ParseError("negative amount", i)
+            raise ParseError("negative amount", line)
         records.append(LinkRecord(u, v, weight, limit))
     return SnapshotFile(records, has_limit)
 
 
 def serialize_snapshot(snapshot: SnapshotFile) -> str:
-    header = "u,v,weight,limit" if snapshot.has_limit else "u,v,weight"
-    lines = [header]
-    for r in snapshot.records:
-        base = f"{r.u},{r.v},{format_credit(r.weight)}"
-        if snapshot.has_limit:
-            base += f",{format_credit(r.limit if r.limit is not None else 0)}"
-        lines.append(base)
-    return "\n".join(lines) + "\n"
+    has_limit = snapshot.has_limit
+    header = _SNAPSHOT_HEADERS[1] if has_limit else _SNAPSHOT_HEADERS[0]
+    return _file(header, (
+        f"{r.u},{r.v},{format_credit(r.weight)}"
+        + (f",{format_credit(r.limit or 0)}" if has_limit else "")
+        for r in snapshot.records))
 
 
-def parse_transactions(text: str) -> TransactionFile:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "time,value,src,dst":
-        raise ParseError("expected header 'time,value,src,dst'", 1)
-    records = []
-    prev_time = None
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = _split(raw, 4, i)
-        time = parse_credit(parts[0], i)
-        value = parse_credit(parts[1], i)
-        if time < 0 or value < 0:
-            raise ParseError("negative time or value", i)
-        if prev_time is not None and time < prev_time:
-            raise ParseError("timestamps must be nondecreasing", i)
-        prev_time = time
-        records.append(TransactionEvent(time, value, _parse_node(parts[2], i), _parse_node(parts[3], i)))
-    return TransactionFile(records)
+def parse_transactions(text: str) -> list[TransactionEvent]:
+    events = []
+    for line, time, fields in _events(text, _TRANSACTION_HEADER):
+        value = parse_credit(fields[1], line)
+        if value < 0:
+            raise ParseError("negative value", line)
+        events.append(TransactionEvent(
+            time, value, parse_int(fields[2], "node id", line), parse_int(fields[3], "node id", line)))
+    return events
 
 
-def serialize_transactions(txs: TransactionFile) -> str:
-    lines = ["time,value,src,dst"]
-    for r in txs.records:
-        lines.append(f"{format_credit(r.time)},{format_credit(r.value)},{r.src},{r.dst}")
-    return "\n".join(lines) + "\n"
+def serialize_transactions(txs: list[TransactionEvent]) -> str:
+    return _file(_TRANSACTION_HEADER, (
+        f"{format_credit(t.time)},{format_credit(t.value)},{t.src},{t.dst}" for t in txs))
 
 
-def parse_link_changes(text: str, reject_self_links: bool = False) -> LinkChangeFile:
+def parse_link_changes(text: str, reject_self_links: bool = False) -> list[LinkChangeEvent]:
     """Parse a link-change file; with reject_self_links a u == v row is an error.
 
     Raw dataset files may hold self entries for ``preprocess`` to drop (rule
     2); a simulation input may not, since the graph rejects self-links.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "time,u,v,new_weight":
-        raise ParseError("expected header 'time,u,v,new_weight'", 1)
-    records = []
-    prev_time = None
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = _split(raw, 4, i)
-        time = parse_credit(parts[0], i)
-        weight = parse_credit(parts[3], i)
-        if time < 0 or weight < 0:
-            raise ParseError("negative time or weight", i)
-        if prev_time is not None and time < prev_time:
-            raise ParseError("timestamps must be nondecreasing", i)
-        prev_time = time
-        u, v = _parse_node(parts[1], i), _parse_node(parts[2], i)
+    events = []
+    for line, time, fields in _events(text, _LINK_CHANGE_HEADER):
+        weight = parse_credit(fields[3], line)
+        if weight < 0:
+            raise ParseError("negative weight", line)
+        u = parse_int(fields[1], "node id", line)
+        v = parse_int(fields[2], "node id", line)
         if u == v and reject_self_links:
-            raise ParseError(f"self-link {u}->{v}", i)
-        records.append(LinkChangeEvent(time, u, v, weight))
-    return LinkChangeFile(records)
+            raise ParseError(f"self-link {u}->{v}", line)
+        events.append(LinkChangeEvent(time, u, v, weight))
+    return events
 
 
-def serialize_link_changes(changes: LinkChangeFile) -> str:
-    lines = ["time,u,v,new_weight"]
-    for r in changes.records:
-        lines.append(f"{format_credit(r.time)},{r.u},{r.v},{format_credit(r.new_weight)}")
-    return "\n".join(lines) + "\n"
+def serialize_link_changes(changes: list[LinkChangeEvent]) -> str:
+    return _file(_LINK_CHANGE_HEADER, (
+        f"{format_credit(c.time)},{c.u},{c.v},{format_credit(c.new_weight)}" for c in changes))
 
 
 def build_graph(snapshot: SnapshotFile) -> CreditGraph:
@@ -206,8 +198,8 @@ def build_graph(snapshot: SnapshotFile) -> CreditGraph:
 @dataclass
 class PreprocessResult:
     snapshot: SnapshotFile
-    transactions: TransactionFile
-    link_changes: LinkChangeFile
+    transactions: list[TransactionEvent]
+    link_changes: list[LinkChangeEvent]
     report: dict[str, int]
 
 
@@ -217,8 +209,8 @@ def format_report(report: dict[str, int]) -> str:
 
 def preprocess(
     snapshot: SnapshotFile,
-    transactions: TransactionFile,
-    link_changes: LinkChangeFile,
+    transactions: list[TransactionEvent],
+    link_changes: list[LinkChangeEvent],
 ) -> PreprocessResult:
     """Apply the dataset cleaning rules; see the module docstring for order."""
     report: dict[str, int] = {}
@@ -234,10 +226,10 @@ def preprocess(
     report["invalid_links_removed"] = invalid
 
     # Rule 2: self-entries in the event lists.
-    txs = [t for t in transactions.records if t.src != t.dst]
-    report["self_transactions_removed"] = len(transactions.records) - len(txs)
-    changes = [c for c in link_changes.records if c.u != c.v]
-    report["self_link_changes_removed"] = len(link_changes.records) - len(changes)
+    txs = [t for t in transactions if t.src != t.dst]
+    report["self_transactions_removed"] = len(transactions) - len(txs)
+    changes = [c for c in link_changes if c.u != c.v]
+    report["self_link_changes_removed"] = len(link_changes) - len(changes)
 
     # Rule 3: giant component over rows that carry weight in some direction
     # (zero-weight rows add nodes but no links); the first largest wins.
@@ -262,10 +254,7 @@ def preprocess(
     report["link_changes_kept"] = len(final_changes)
 
     return PreprocessResult(
-        SnapshotFile(final_rows, snapshot.has_limit),
-        TransactionFile(final_txs),
-        LinkChangeFile(final_changes),
-        report,
+        SnapshotFile(final_rows, snapshot.has_limit), final_txs, final_changes, report
     )
 
 
@@ -364,7 +353,7 @@ def generate_synthetic(
     weight_range: tuple[float, float] = (0.5, 500.0),
     value_range: tuple[float, float] = (1.0, 100.0),
     unidirectional_fraction: float = 0.0,
-) -> tuple[SnapshotFile, TransactionFile]:
+) -> tuple[SnapshotFile, list[TransactionEvent]]:
     """Deterministic desk-scale workload.
 
     By default every undirected attachment becomes a bidirectional link
@@ -385,6 +374,9 @@ def generate_synthetic(
         raise ConfigError("small-world model needs k >= 2")
     if tx_count < 0:
         raise ConfigError("tx_count must be >= 0")
+    # Bounds are drawn in micro-units, so they must stay finite when scaled.
+    if not all(math.isfinite(b * SCALE) for b in (*weight_range, *value_range)):
+        raise ConfigError("ranges must be finite in micro-units")
     if weight_range[0] <= 0 or value_range[0] <= 0 or weight_range[0] > weight_range[1] \
             or value_range[0] > value_range[1]:
         raise ConfigError("ranges must be positive and ordered")
@@ -392,6 +384,8 @@ def generate_synthetic(
         raise ConfigError("unidirectional_fraction must be in [0, 1]")
     if not 0.0 <= triad_p <= 1.0:
         raise ConfigError("triad_p must be in [0, 1]")
+    if not 0.0 <= rewire_p <= 1.0:
+        raise ConfigError("rewire_p must be in [0, 1]")
     rng = random.Random(seed)
     if model == "scale-free":
         edges = _scale_free_edges(n, m, rng, triad_p)
@@ -415,4 +409,4 @@ def generate_synthetic(
         while dst == src:
             dst = endpoints[rng.randrange(len(endpoints))]
         txs.append(TransactionEvent(i * SCALE, _log_uniform(rng, *value_range), src, dst))
-    return SnapshotFile(records), TransactionFile(txs)
+    return SnapshotFile(records), txs

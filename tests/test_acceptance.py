@@ -75,7 +75,7 @@ def desk_graph_and_pool(seed, pool_size, feasible_only=True):
     )
     g = build_graph(snap)
     pool = []
-    for ev in txf.records:
+    for ev in txf:
         if len(pool) == pool_size:
             break
         if not feasible_only or flow_feasible(g, ev.src, ev.dst, ev.value):
@@ -265,7 +265,7 @@ def _burst_events(g, seed):
         weight_range=(1, 100), value_range=(0.2, 5),
     )
     events = [TransactionEvent(i * step, t.value, t.src, t.dst)
-              for i, t in enumerate(txf.records)]
+              for i, t in enumerate(txf)]
     # light churn: drop and re-create one leaf link every 25 seconds
     leaves = [v for v in snap_nodes if g.degree(v) <= 2]
     for i, t in enumerate(range(0, 2000, 25)):

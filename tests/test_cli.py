@@ -120,6 +120,61 @@ def test_run_non_ascii_digit_exits_2_with_line(workload, tmp_path, capsys, row):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [
+    ("--seed", "٢"), ("--trees", "٢"), ("--trees", "٢..3"), ("--attempts", "٣"),
+    ("--seed", "-4"),
+])
+def test_run_integer_flag_outside_ascii_digits_exits_2(workload, tmp_path, capsys, extra):
+    assert main(run_args(workload, tmp_path / "x", extra=extra)) == 2
+    assert f"must be an integer, got '{extra[1].partition('..')[0]}'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_config_value_outside_ascii_digits_exits_2(workload, tmp_path, capsys):
+    snap, txs = workload
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"policy=GE-RAND-OND\nsnapshot={snap}\ntransactions={txs}\nattempts=٣\n",
+                   encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "attempts must be an integer, got '٣'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+def test_run_sample_from_empty_pool_exits_2(workload, tmp_path, capsys, mode):
+    snap, _ = workload
+    txs = tmp_path / "empty.csv"
+    txs.write_text("time,value,src,dst\n")
+    args = run_args((snap, txs), tmp_path / "x", extra=("--sample", "5"))
+    args[args.index("static")] = mode
+    assert main(args) == 2
+    assert "empty transaction pool" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "preprocess", "generate", "compare"])
+def test_unwritable_output_exits_2(workload, tmp_path, capsys, command):
+    snap, txs = workload
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    target = str(blocker / "x")  # below a regular file, so it cannot be created
+    if command == "run":
+        args = run_args(workload, target)
+    elif command == "preprocess":
+        args = ["preprocess", "--snapshot", str(snap), "--transactions", str(txs),
+                "--out-dir", target]
+    elif command == "generate":
+        target = str(tmp_path / "missing" / "s.csv")
+        args = ["generate", "--nodes", "10", "--snapshot-out", target,
+                "--transactions-out", str(tmp_path / "t.csv")]
+    else:
+        out = tmp_path / "ok"
+        assert main(run_args(workload, out)) == 0
+        args = ["compare", str(out / "summary.csv"), str(out / "summary.csv"), "--out", target]
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and target in err
+
+
 def test_run_self_link_change_exits_2_with_line(workload, tmp_path, capsys):
     changes = tmp_path / "changes.csv"
     changes.write_text("time,u,v,new_weight\n0,0,1,5\n1,1,1,5\n")
@@ -203,6 +258,15 @@ def test_generate_deterministic_files(tmp_path):
     ("--m", "0"),
     ("--model", "small-world", "--k", "1"),
     ("--tx-count", "-1"),
+    # and every other bad generator input: non-ASCII digits, non-finite
+    # ranges, a rewiring probability outside [0, 1]
+    ("--tx-count", "٣"),
+    ("--seed", "٢"),
+    ("--value-range", "1:nan"),
+    ("--value-range", "1:inf"),
+    ("--weight-range", "1:inf"),
+    ("--model", "small-world", "--rewire-p", "2"),
+    ("--model", "small-world", "--rewire-p", "-1"),
 ])
 def test_generate_without_links_or_with_negative_count_exits_2(tmp_path, extra):
     args = ["generate", "--nodes", "10", "--tx-count", "5", *extra,

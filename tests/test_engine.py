@@ -26,7 +26,7 @@ def desk_workload(seed=1, n=120, tx=400):
         weight_range=(1, 200), value_range=(0.5, 20),
     )
     g = build_graph(snap)
-    return g, txf.records
+    return g, txf
 
 
 def graph_state(g):
@@ -166,7 +166,7 @@ def test_dynamic_retries_use_current_addresses(monkeypatch):
 
     monkeypatch.setattr(GreedyExecutor, "attempt", checked)
     params = SimParams(trees=3, attempts=3, epoch=10, seed=4)
-    run_dynamic(build_graph(snap), txf.records, parse_policy("GE-RAND-PER"), params)
+    run_dynamic(build_graph(snap), txf, parse_policy("GE-RAND-PER"), params)
     assert stale == []
 
 

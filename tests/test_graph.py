@@ -7,7 +7,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from pbtsim.credit import credit
 from pbtsim.errors import ConfigError, InternalError
 from pbtsim.graph import CreditGraph
-from pbtsim.workload import LinkChangeFile, LinkRecord, SnapshotFile, TransactionFile, preprocess
+from pbtsim.workload import LinkRecord, SnapshotFile, preprocess
 
 from conftest import random_graph
 
@@ -265,7 +265,7 @@ def test_giant_component_picks_larger():
 
 def test_giant_component_tie_breaks_by_smallest_node():
     snapshot = SnapshotFile([LinkRecord(5, 6, credit(1)), LinkRecord(0, 9, credit(1))])
-    result = preprocess(snapshot, TransactionFile([]), LinkChangeFile([]))
+    result = preprocess(snapshot, [], [])
     assert result.snapshot.records == [LinkRecord(0, 9, credit(1))]
     assert result.report["nodes_kept"] == 2
 
@@ -273,7 +273,7 @@ def test_giant_component_tie_breaks_by_smallest_node():
 def test_giant_component_connected_graph_is_identity(line_graph):
     assert line_graph.components() == [line_graph.nodes]
     rows = [LinkRecord(u, v, entry[0]) for (u, v), entry in line_graph._links.items()]
-    result = preprocess(SnapshotFile(rows), TransactionFile([]), LinkChangeFile([]))
+    result = preprocess(SnapshotFile(rows), [], [])
     assert result.report["nodes_kept"] == len(line_graph.nodes)
     assert result.report["links_kept"] == line_graph.link_count()
 

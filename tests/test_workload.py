@@ -1,14 +1,15 @@
-import pytest
+import math
 
-from pbtsim.credit import credit
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pbtsim.credit import credit, format_credit
 from pbtsim.errors import ConfigError, ParseError
 from pbtsim.workload import (
     LinkChangeEvent,
-    LinkChangeFile,
     LinkRecord,
     SnapshotFile,
     TransactionEvent,
-    TransactionFile,
     build_graph,
     format_report,
     generate_synthetic,
@@ -42,14 +43,14 @@ def test_snapshot_with_limit_column():
 
 def test_transactions_round_trip():
     f = parse_transactions(TXS)
-    assert f.records[0] == TransactionEvent(0, 1_500_000, 0, 1)
+    assert f[0] == TransactionEvent(0, 1_500_000, 0, 1)
     assert serialize_transactions(f) == TXS
     assert parse_transactions(serialize_transactions(f)) == f
 
 
 def test_link_changes_round_trip():
     f = parse_link_changes(CHANGES)
-    assert f.records[0] == LinkChangeEvent(5_000_000, 0, 1, 0)
+    assert f[0] == LinkChangeEvent(5_000_000, 0, 1, 0)
     assert serialize_link_changes(f) == CHANGES
     assert parse_link_changes(serialize_link_changes(f)) == f
 
@@ -69,6 +70,79 @@ def test_snapshot_parse_errors_carry_line(text, error_line):
     with pytest.raises(ParseError) as err:
         parse_snapshot(text)
     assert err.value.line == error_line
+
+
+NODE_IDS = st.integers(0, 10**9)
+AMOUNTS = st.integers(0, 10**15)  # micro-units: up to 6 fractional digits
+
+
+def up_to_12(record, *fields):
+    return st.lists(st.builds(record, *fields), max_size=12)
+
+
+def by_time(events):
+    return sorted(events, key=lambda e: e.time)
+
+
+# Each format: parse, serialize, random records, the node-id columns, and
+# whether column 0 is a time that must never decrease.
+FORMATS = {
+    "snapshot": (
+        parse_snapshot, serialize_snapshot,
+        st.builds(SnapshotFile, up_to_12(LinkRecord, NODE_IDS, NODE_IDS, AMOUNTS)),
+        (0, 1), False),
+    "snapshot-limit": (
+        parse_snapshot, serialize_snapshot,
+        st.builds(SnapshotFile, up_to_12(LinkRecord, NODE_IDS, NODE_IDS, AMOUNTS, AMOUNTS),
+                  st.just(True)),
+        (0, 1), False),
+    "transactions": (
+        parse_transactions, serialize_transactions,
+        up_to_12(TransactionEvent, AMOUNTS, AMOUNTS, NODE_IDS, NODE_IDS).map(by_time),
+        (2, 3), True),
+    "link-changes": (
+        parse_link_changes, serialize_link_changes,
+        up_to_12(LinkChangeEvent, AMOUNTS, NODE_IDS, NODE_IDS, AMOUNTS).map(by_time),
+        (1, 2), True),
+}
+
+
+@pytest.mark.parametrize("kind", FORMATS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reader_round_trips_and_reports_the_corrupted_line(kind, data):
+    """parse(serialize(records)) == records with blank lines anywhere after the
+    header, and one corrupted row raises ParseError at that row's line."""
+    parse, serialize, records_of, node_columns, timed = FORMATS[kind]
+    records = data.draw(records_of)
+    header, *rows = serialize(records).splitlines()
+    blanks = st.lists(st.sampled_from(["", " ", "\t"]), max_size=2)
+    lines, row_lines = [header], []
+    for row in rows:
+        lines += data.draw(blanks)
+        lines.append(row)
+        row_lines.append(len(lines))
+    lines += data.draw(blanks)
+    assert parse("\n".join(lines) + "\n") == records
+    if not rows:
+        return
+
+    i = data.draw(st.integers(0, len(rows) - 1))
+    fields = rows[i].split(",")
+    corruptions = ["width", "digit", "time"] if timed else ["width", "digit"]
+    corruption = data.draw(st.sampled_from(corruptions))
+    if corruption == "width":
+        fields = fields[:-1] if data.draw(st.booleans()) else fields + ["1"]
+    elif corruption == "digit":
+        column = data.draw(st.sampled_from(node_columns))
+        k = data.draw(st.integers(0, len(fields[column])))
+        fields[column] = fields[column][:k] + data.draw(st.sampled_from("²٢")) + fields[column][k:]
+    else:
+        fields[0] = format_credit((records[i - 1].time if i else 0) - 1)
+    lines[row_lines[i] - 1] = ",".join(fields)
+    with pytest.raises(ParseError) as err:
+        parse("\n".join(lines) + "\n")
+    assert err.value.line == row_lines[i]
 
 
 def test_event_files_require_nondecreasing_time():
@@ -101,17 +175,17 @@ def full_fixture():
         ],
         has_limit=True,
     )
-    txs = TransactionFile([
+    txs = [
         TransactionEvent(0, credit(1), 0, 2),
         TransactionEvent(1, credit(1), 4, 4),   # self transaction
         TransactionEvent(2, credit(1), 5, 6),   # outside the giant component
         TransactionEvent(3, credit(1), 0, 1),
-    ])
-    changes = LinkChangeFile([
+    ]
+    changes = [
         LinkChangeEvent(0, 0, 1, credit(9)),
         LinkChangeEvent(1, 5, 6, 0),            # outside
         LinkChangeEvent(2, 4, 4, credit(2)),    # self entry
-    ])
+    ]
     return snapshot, txs, changes
 
 
@@ -136,7 +210,7 @@ def test_preprocess_zero_rows_in_giant_are_counted():
         LinkRecord(0, 1, credit(5)),
         LinkRecord(1, 0, 0),  # placeholder inside the giant component
     ])
-    result = preprocess(snapshot, TransactionFile([]), LinkChangeFile([]))
+    result = preprocess(snapshot, [], [])
     assert result.report["zero_links_removed"] == 1
     assert result.report["links_kept"] == 1
 
@@ -194,6 +268,14 @@ def test_generate_rejects_bad_params():
         generate_synthetic(10, model="small-world", tx_count=5, k=1)
     with pytest.raises(ConfigError):
         generate_synthetic(10, tx_count=-1)
+    for bad_range in ((1, math.nan), (1, math.inf), (math.nan, 5), (1, 1e308)):
+        with pytest.raises(ConfigError):
+            generate_synthetic(10, tx_count=5, value_range=bad_range)
+        with pytest.raises(ConfigError):
+            generate_synthetic(10, tx_count=5, weight_range=bad_range)
+    for rewire_p in (2, -1, math.nan):
+        with pytest.raises(ConfigError):
+            generate_synthetic(10, model="small-world", rewire_p=rewire_p)
 
 
 def test_scale_free_tail_heavier_than_small_world():
@@ -221,7 +303,7 @@ def test_unidirectional_fraction_produces_single_direction_rows():
 
 def test_transactions_have_distinct_endpoints_and_times():
     _, txs = generate_synthetic(50, tx_count=200, seed=5)
-    assert len(txs.records) == 200
-    assert all(t.src != t.dst for t in txs.records)
-    times = [t.time for t in txs.records]
+    assert len(txs) == 200
+    assert all(t.src != t.dst for t in txs)
+    times = [t.time for t in txs]
     assert times == sorted(times)
