@@ -12,6 +12,7 @@ exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import random
@@ -83,12 +84,18 @@ def _parse_bool(text: str) -> bool:
 
 
 def _atomic_write(path: str, content: str) -> None:
+    """Write through `<path>.tmp` and a rename; on failure the temporary file is removed."""
     tmp = path + ".tmp"
+    opened = False
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            opened = True
             fh.write(content)
         os.replace(tmp, path)
     except OSError as e:
+        if opened:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise ConfigError(f"cannot write {path}: {e.strerror}") from None
 
 
@@ -164,6 +171,14 @@ class _RunOptions:
         self.feasible_only = _parse_bool(feasible)
         addr = pick("addr_overhead", "true")
         self.addr_overhead = _parse_bool(addr)
+
+    def params(self, trees: int, run: int) -> SimParams:
+        """Simulation parameters of one run of one tree count."""
+        return SimParams(
+            trees=trees, attempts=self.attempts, epoch=self.epoch, tl=self.tl,
+            landmark_mode=self.landmarks, seed=self.seed + run,
+            addr_overhead=self.addr_overhead,
+        )
 
     def fingerprint(self, workload_bytes: bytes) -> str:
         h = hashlib.sha256()
@@ -254,6 +269,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ConfigError("no max-flow-feasible transactions in the pool")
     if opts.sample and not pool:
         raise ConfigError("cannot sample from an empty transaction pool")
+    for trees in opts.trees:
+        opts.params(trees, 0).validate()
 
     _make_dir(opts.out)
     summary_lines = [
@@ -268,11 +285,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         label = opts.policy.label if len(opts.trees) == 1 else f"{opts.policy.label}@L{trees}"
         run_metrics: list[RunMetrics] = []
         for r in range(opts.runs):
-            params = SimParams(
-                trees=trees, attempts=opts.attempts, epoch=opts.epoch, tl=opts.tl,
-                landmark_mode=opts.landmarks, seed=opts.seed + r,
-                addr_overhead=opts.addr_overhead,
-            )
+            params = opts.params(trees, r)
             txs = pool
             if opts.sample is not None:
                 picker = random.Random(opts.seed + r)

@@ -33,7 +33,8 @@ from .graph import CreditGraph, NodeId
 Coordinate = tuple[int, ...]
 
 DEFAULT_ELEMENT_BITS = 128
-# Padded address length; comfortably above any tree depth seen at desk scale.
+# Padded address length; routing pads to the smallest multiple of it that holds
+# the receiver's coordinate (``routing.gen_addresses``).
 DEFAULT_ADDRESS_LEN = 16
 
 
@@ -140,9 +141,10 @@ def address_distance(c: Coordinate, addr: ReturnAddress) -> int:
 class Embedding:
     """One landmark's spanning tree: parent links plus prefix coordinates.
 
-    Mutations go through attach/detach so the children index, the
-    previous-coordinate memory (needed by the re-parent cycle rule) and the
-    optional undo journal stay consistent.
+    The tree is its ``parent`` and ``coord`` maps; a node's children are the
+    graph neighbors whose parent it is (``subtree``). Mutations go through
+    attach/detach so the previous-coordinate memory (needed by the re-parent
+    cycle rule) and the optional undo journal stay consistent.
 
     ``neighbor_index`` maps a node to the neighbor index greedy routing
     keeps for it (``routing.build_neighbor_index``, with the neighbor list
@@ -163,7 +165,6 @@ class Embedding:
         self.element_bits = element_bits
         self.parent: dict[NodeId, NodeId] = {}
         self.coord: dict[NodeId, Coordinate] = {landmark: ()}
-        self.children: dict[NodeId, set[NodeId]] = {landmark: set()}
         self.prev_coord: dict[NodeId, Coordinate] = {}
         self._journal: list[tuple] | None = None
         self.neighbor_index: dict[NodeId, tuple] = {}
@@ -175,10 +176,13 @@ class Embedding:
         self._journal = []
 
     def _record(self, node: NodeId) -> None:
+        """Journal the node's state and mark it moved before a mutation changes it."""
         if self._journal is not None:
             self._journal.append(
                 (node, self.parent.get(node), self.coord.get(node), self.prev_coord.get(node))
             )
+        if self.neighbor_index:
+            self.moved.add(node)
 
     def rollback_undo(self) -> None:
         """Restore the exact state captured since begin_undo."""
@@ -187,18 +191,11 @@ class Embedding:
         if self.neighbor_index:
             self.moved.update(entry[0] for entry in self._journal)
         for node, old_parent, old_coord, old_prev in reversed(self._journal):
-            cur_parent = self.parent.get(node)
-            if cur_parent is not None:
-                self.children[cur_parent].discard(node)
             for mapping, value in ((self.parent, old_parent), (self.coord, old_coord), (self.prev_coord, old_prev)):
                 if value is None:
                     mapping.pop(node, None)
                 else:
                     mapping[node] = value
-            if old_coord is not None:
-                self.children.setdefault(node, set())
-            if old_parent is not None:
-                self.children[old_parent].add(node)
         self._journal = None
 
     # -- queries --
@@ -209,15 +206,20 @@ class Embedding:
     def depth(self, node: NodeId) -> int:
         return len(self.coord[node])
 
-    def subtree(self, root: NodeId) -> list[NodeId]:
-        """Root plus all descendants, parents before children."""
+    def subtree(self, g: CreditGraph, root: NodeId) -> list[NodeId]:
+        """Root plus all descendants, breadth-first, siblings in ascending id.
+
+        The children of a node are its graph neighbors whose parent it is, so
+        this relies on every tree link being a graph link. On-demand repair,
+        the only caller, keeps that true: removing a parent link resets the
+        child.
+        """
+        parent = self.parent
         out = [root]
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for child in sorted(self.children.get(node, ())):
-                out.append(child)
-                queue.append(child)
+        for node in out:  # grows while it is read: a breadth-first queue
+            for n in g.sorted_neighbors(node):
+                if parent.get(n) == node:
+                    out.append(n)
         return out
 
     def path_to_landmark(self, node: NodeId) -> list[NodeId]:
@@ -249,7 +251,7 @@ class Embedding:
         node has an attached parent whose coordinate plus one element is its
         own (greedy routing's plaintext distance rests on this), so depth
         falls by one per parent step and every chain ends at the landmark
-        without a cycle; and ``children`` holds exactly the ``parent`` links.
+        without a cycle.
         """
         where = f"in tree {self.tree_index}"
         if self.coord.get(self.landmark) != () or self.landmark in self.parent:
@@ -264,11 +266,6 @@ class Embedding:
                 )
         if not self.parent.keys() <= self.coord.keys():
             raise InternalError(f"detached node keeps a parent {where}")
-        expected: dict[NodeId, set[NodeId]] = {}
-        for node, parent in self.parent.items():
-            expected.setdefault(parent, set()).add(node)
-        if {p: kids for p, kids in self.children.items() if kids} != expected:
-            raise InternalError(f"children index disagrees with parent links {where}")
 
     # -- mutation --
 
@@ -276,25 +273,16 @@ class Embedding:
         if node in self.coord:
             raise InternalError(f"attach of already-attached node {node}")
         self._record(node)
-        if self.neighbor_index:
-            self.moved.add(node)
         self.parent[node] = parent
         self.coord[node] = self.coord[parent] + (element,)
-        self.children.setdefault(parent, set()).add(node)
-        self.children.setdefault(node, set())
 
     def detach(self, node: NodeId) -> None:
         """Drop the node's coordinate, remembering it for the cycle rule."""
         if node == self.landmark:
             raise InternalError("landmark cannot be detached")
         self._record(node)
-        if self.neighbor_index:
-            self.moved.add(node)
-        coord = self.coord.pop(node)
-        self.prev_coord[node] = coord
-        parent = self.parent.pop(node, None)
-        if parent is not None:
-            self.children[parent].discard(node)
+        self.prev_coord[node] = self.coord.pop(node)
+        self.parent.pop(node, None)
 
 
 def build_embeddings(
@@ -324,7 +312,7 @@ def build_embeddings(
             for n in g.sorted_neighbors(node):
                 if n in emb.coord:
                     continue
-                if bi and not (g.weight(node, n) > 0 and g.weight(n, node) > 0):
+                if bi and not g.bidirectional(node, n):
                     continue
                 emb.attach(n, node, rng.getrandbits(element_bits))
                 queue.append(n)

@@ -220,11 +220,13 @@ def _audit_settlement(ev: TransactionEvent, deltas) -> None:
 
 
 def _setup(
-    g: CreditGraph, policy: RoutingPolicy, params: SimParams, bootstrap: bool
+    g: CreditGraph, policy: RoutingPolicy, params: SimParams
 ) -> tuple[list[NodeId], list[Embedding], random.Random, Executor]:
-    """Landmarks, initial trees (empty without bootstrap), the rng and the executor.
+    """Landmarks, initial trees, the rng and the executor.
 
-    Max-flow routing reads the graph alone, so it gets neither landmarks nor trees.
+    On-demand policies get their bootstrap trees here; periodic policies
+    build theirs through ``periodic_rebuild``, which charges them. Max-flow
+    routing reads the graph alone, so it gets neither landmarks nor trees.
     """
     landmarks: list[NodeId] = []
     embeddings: list[Embedding] = []
@@ -232,7 +234,7 @@ def _setup(
         landmarks = g.select_landmarks(
             params.trees, params.landmark_mode, derive_seed(params.seed, "landmarks")
         )
-        if bootstrap:
+        if policy.on_demand:
             embeddings = build_embeddings(g, landmarks, derive_seed(params.seed, "bootstrap"))
     rng = random.Random(derive_seed(params.seed, "run"))
     return landmarks, embeddings, rng, make_executor(policy, params.addr_overhead)
@@ -327,7 +329,7 @@ def run_static(
     if not transactions:
         raise ConfigError("static mode needs a nonempty transaction list")
     # Periodic policies build their first trees at the first epoch boundary.
-    landmarks, embeddings, rng, executor = _setup(g, policy, params, not policy.periodic)
+    landmarks, embeddings, rng, executor = _setup(g, policy, params)
     metrics = RunMetrics()
 
     for idx, ev in enumerate(transactions):
@@ -417,7 +419,7 @@ def run_dynamic(
         if b.time < a.time:
             raise ConfigError("events must be sorted by time")
     g = g0.clone()
-    landmarks, embeddings, rng, executor = _setup(g, policy, params, True)
+    landmarks, embeddings, rng, executor = _setup(g, policy, params)
     metrics = RunMetrics()
 
     sched = _Schedule.from_events(events, params.epoch)
@@ -431,7 +433,8 @@ def run_dynamic(
 
     current_epoch = 0
     if policy.periodic:
-        metrics.epoch(0).stabilization_messages += params.trees * g.undirected_edge_count()
+        embeddings, msgs = periodic_rebuild(g, landmarks, derive_seed(params.seed, "bootstrap"))
+        metrics.epoch(0).stabilization_messages += msgs
     tx_index = 0
 
     while heap:
@@ -439,13 +442,12 @@ def run_dynamic(
         e = sched.epoch_of(t)
         if e > current_epoch:
             if policy.periodic:
-                for crossed in range(current_epoch + 1, e + 1):
-                    metrics.epoch(crossed).stabilization_messages += (
-                        params.trees * g.undirected_edge_count()
-                    )
-                embeddings, _ = periodic_rebuild(
+                # One rebuild per boundary; every crossed epoch pays for one.
+                embeddings, msgs = periodic_rebuild(
                     g, landmarks, derive_seed(params.seed, f"rebuild:{e}")
                 )
+                for crossed in range(current_epoch + 1, e + 1):
+                    metrics.epoch(crossed).stabilization_messages += msgs
             current_epoch = e
 
         if isinstance(item, LinkChangeEvent):

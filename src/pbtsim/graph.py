@@ -87,6 +87,11 @@ class CreditGraph:
         entry = self._links.get((u, v))
         return entry[0] if entry else 0
 
+    def bidirectional(self, u: NodeId, v: NodeId) -> bool:
+        """True iff both w(u, v) and w(v, u) are positive."""
+        links = self._links
+        return (u, v) in links and (v, u) in links
+
     def reserved(self, u: NodeId, v: NodeId) -> int:
         entry = self._links.get((u, v))
         return entry[1] if entry else 0

@@ -406,10 +406,18 @@ def gen_addresses(
     dst: NodeId,
     rng: random.Random,
 ) -> list[ReturnAddress | None]:
-    """Fresh return addresses for dst, one per tree it is attached in."""
-    return [
-        gen_return_address(emb.coord[dst], DEFAULT_ADDRESS_LEN, rng, emb.element_bits)
-        if emb.attached(dst)
-        else None
-        for emb in embeddings
-    ]
+    """Fresh return addresses for dst, one per tree it is attached in.
+
+    Each address is padded to the smallest multiple of DEFAULT_ADDRESS_LEN
+    that holds dst's coordinate (at least one multiple), so trees of any
+    depth can be routed.
+    """
+    addrs: list[ReturnAddress | None] = []
+    for emb in embeddings:
+        coord = emb.coord.get(dst)
+        if coord is None:
+            addrs.append(None)
+            continue
+        delta = DEFAULT_ADDRESS_LEN * max(1, -(-len(coord) // DEFAULT_ADDRESS_LEN))
+        addrs.append(gen_return_address(coord, delta, rng, emb.element_bits))
+    return addrs

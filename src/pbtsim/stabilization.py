@@ -33,14 +33,6 @@ class StabilizationReport:
     messages: int
 
 
-def _unidirectional_parent_link(g: CreditGraph, emb: Embedding, node: NodeId) -> bool:
-    """True if node's link to its current parent lacks weight in one direction."""
-    parent = emb.parent.get(node)
-    if parent is None:
-        return False
-    return g.weight(node, parent) == 0 or g.weight(parent, node) == 0
-
-
 def choose_parent(
     g: CreditGraph, emb: Embedding, n: NodeId, rng: random.Random
 ) -> NodeId | None:
@@ -61,7 +53,7 @@ def choose_parent(
             continue
         if prev is not None and is_prefix(prev, coord):
             continue
-        if g.weight(n, cand) > 0 and g.weight(cand, n) > 0:
+        if g.bidirectional(n, cand):
             bidi.append(cand)
         else:
             uni.append(cand)
@@ -83,9 +75,10 @@ def _reset_for_tree(
             return v
         if v_set and not u_set:
             return u
-        if u_set and v_set and g.weight(u, v) > 0 and g.weight(v, u) > 0:
-            a1 = _unidirectional_parent_link(g, emb, u)
-            a2 = _unidirectional_parent_link(g, emb, v)
+        if u_set and v_set and g.bidirectional(u, v):
+            pu, pv = emb.parent.get(u), emb.parent.get(v)
+            a1 = pu is not None and not g.bidirectional(u, pu)
+            a2 = pv is not None and not g.bidirectional(v, pv)
             # Exactly one endpoint with a weak parent link re-roots onto the
             # new bidirectional connection; when both qualify, neither moves.
             if a1 and not a2:
@@ -110,7 +103,7 @@ def _repair(
 ) -> StabilizationReport:
     messages = 0
     if emb.attached(reset):
-        dropped = emb.subtree(reset)
+        dropped = emb.subtree(g, reset)
         for node in dropped:
             emb.detach(node)
             messages += g.degree(node)

@@ -6,7 +6,9 @@ import pytest
 import pbtsim.engine as engine
 from pbtsim.baselines import grid_policies
 from pbtsim.cli import main
+from pbtsim.embedding import build_embeddings
 from pbtsim.graph import CreditGraph
+from pbtsim.workload import build_graph, parse_snapshot
 
 
 @pytest.fixture
@@ -173,6 +175,43 @@ def test_unwritable_output_exits_2(workload, tmp_path, capsys, command):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot ") and target in err
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    target = tmp_path / "d1"
+    target.mkdir()  # the final rename onto a directory fails
+    args = ["generate", "--nodes", "10", "--snapshot-out", str(target),
+            "--transactions-out", str(tmp_path / "t.csv")]
+    assert main(args) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["d1"]
+
+
+@pytest.mark.parametrize("extra", [("--epoch", "0"), ("--attempts", "0"), ("--tl", "-3")])
+def test_run_bad_parameter_exits_2_before_creating_out(workload, tmp_path, capsys, extra):
+    assert main(run_args(workload, tmp_path / "x", extra=extra)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_greedy_routing_on_tree_deeper_than_address_length(tmp_path):
+    """A ring lattice without rewiring grows trees far deeper than the
+    16-element address; return addresses pad to the next multiple of 16."""
+    snap, txs = tmp_path / "s.csv", tmp_path / "t.csv"
+    assert main([
+        "generate", "--nodes", "400", "--model", "small-world", "--k", "4",
+        "--rewire-p", "0", "--tx-count", "30", "--seed", "1",
+        "--value-range", "0.01:0.1", "--weight-range", "100:500",
+        "--snapshot-out", str(snap), "--transactions-out", str(txs),
+    ]) == 0
+    g = build_graph(parse_snapshot(snap.read_text()))
+    embs = build_embeddings(g, g.select_landmarks(3, "degree"), seed=1)
+    assert max(len(c) for emb in embs for c in emb.coord.values()) > 16
+    out = tmp_path / "out"
+    args = run_args((snap, txs), out, extra=("--runs", "1"))
+    assert main(args) == 0
+    row = (out / "summary.csv").read_text().splitlines()[-1].split(",")
+    assert row[0] == "GE-RAND-OND" and float(row[1]) > 0
 
 
 def test_run_self_link_change_exits_2_with_line(workload, tmp_path, capsys):

@@ -250,7 +250,8 @@ def test_next_hop_index_matches_scan_across_changes(seed, element_bits, data):
             # What a repair does to one node: detach it, then re-attach it under
             # an attached neighbor with a fresh element, or leave it detached.
             emb = embs[data.draw(st.integers(0, len(embs) - 1), label="tree")]
-            leaves = [n for n in sorted(emb.coord) if n != emb.landmark and not emb.children[n]]
+            inner = set(emb.parent.values())
+            leaves = [n for n in sorted(emb.coord) if n != emb.landmark and n not in inner]
             if not leaves:
                 continue
             x = data.draw(st.sampled_from(leaves), label="leaf")

@@ -265,3 +265,36 @@ def test_random_link_changes_keep_tree_invariants(seed, element_bits, changes):
         apply_change(g, embs, u, v, credit(units), rnd)
         for emb in embs:
             check_embedding_invariants(g, emb)
+
+
+def subtree_from_parents(emb, root):
+    """Reference subtree from the parent links alone: breadth-first, siblings ascending."""
+    kids = {}
+    for node, parent in emb.parent.items():
+        kids.setdefault(parent, []).append(node)
+    out = [root]
+    for node in out:
+        out.extend(sorted(kids.get(node, ())))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    changes=st.lists(
+        st.tuples(st.integers(0, 24), st.integers(0, 24), st.sampled_from([0, 0, 1, 5, 30])),
+        max_size=40,
+    ),
+)
+def test_subtree_matches_parent_links_after_repairs(seed, changes):
+    """subtree(g, v) finds children among graph neighbors; after any repairs
+    it lists the same nodes in the same order as a walk of the parent links."""
+    g = random_graph(20, 10, seed=seed)
+    embs = build_embeddings(g, g.select_landmarks(2, "degree"), seed)
+    rnd = random.Random(seed)
+    for u, v, units in changes:
+        if u != v:
+            apply_change(g, embs, u, v, credit(units), rnd)
+    for emb in embs:
+        for v in sorted(g.nodes):
+            assert emb.subtree(g, v) == subtree_from_parents(emb, v)
