@@ -15,7 +15,7 @@ from .embedding import (
 )
 from .stabilization import StabilizationReport, choose_parent, on_link_change, periodic_rebuild
 from .routing import (
-    ProbeResult,
+    AttemptOutcome,
     next_hop,
     route_probe,
     split_value,

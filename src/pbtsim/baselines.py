@@ -12,7 +12,9 @@ same max-flow question by value alone, at a fraction of the cost.
 
 Each executor's ``attempt`` discovers paths, assigns credit, reserves
 along the paths and settles or rolls back, with the one greedy walk and
-the one reserve/release/commit path of ``routing``.
+the one reserve/release/commit path of ``routing``. Its result record is
+``routing.AttemptOutcome``: whether the attempt settled, its messages and
+delay, and for a settlement the path lengths and the weight deltas.
 
 Message accounting (one message per link traversal):
   * every policy pays 2 x hops per tree for the single physical path
@@ -37,10 +39,10 @@ from dataclasses import dataclass
 
 from .embedding import Embedding, ReturnAddress
 from .errors import ConfigError, InternalError
-from .graph import CreditGraph, LinkDelta, NodeId
+from .graph import CreditGraph, NodeId
 from .routing import (
+    AttemptOutcome,
     Path,
-    commit_paths,
     gen_addresses,
     greedy_walk,
     next_hop,  # noqa: F401  bench/harness.py traces it here
@@ -200,7 +202,6 @@ class MaxFlowResult:
     value: int
     paths: list[tuple[Path, int]]
     messages: int
-    delay: int
 
 
 def max_flow(
@@ -210,12 +211,11 @@ def max_flow(
 
     Residual capacities start from guaranteed available credit. Each BFS
     scans neighbors in ascending node id and is charged one message per
-    link scanned; the distributed discovery is a serial message chain, so
-    the same count accrues as delay. Returns the flow value and a path
-    decomposition suitable for committing the payment.
+    link scanned. Returns the flow value and a path decomposition suitable
+    for committing the payment.
     """
     if src not in g.nodes or dst not in g.nodes or src == dst:
-        return MaxFlowResult(0, [], 0, 0)
+        return MaxFlowResult(0, [], 0)
     links = g._links
     res: dict[tuple[NodeId, NodeId], int] = {}
     flows: dict[tuple[NodeId, NodeId], int] = {}
@@ -276,7 +276,7 @@ def max_flow(
                     flows[(b, a)] = 0
         value += push
 
-    return MaxFlowResult(value, _decompose(flows, src, dst), messages, messages)
+    return MaxFlowResult(value, _decompose(flows, src, dst), messages)
 
 
 def _decompose(
@@ -424,15 +424,6 @@ def flow_feasible(g: CreditGraph, src: NodeId, dst: NodeId, c: int) -> bool:
 
 
 @dataclass
-class AttemptOutcome:
-    success: bool
-    messages: int
-    delay: int
-    path_lengths: list[int]
-    weight_deltas: list[LinkDelta]
-
-
-@dataclass
 class TxContext:
     """Per-transaction state shared by all attempts."""
 
@@ -492,11 +483,7 @@ class GreedyExecutor:
     def attempt(self, g, embeddings, src, dst, value, ctx, rng):
         if self.credit_rule == "RAND":
             shares = split_value(value, len(embeddings), rng)
-            probe = route_probe(g, embeddings, src, ctx.addrs, shares, rng)
-            deltas, lengths = commit_paths(g, probe.paths, shares) if probe.success else ([], [])
-            return AttemptOutcome(
-                probe.success, probe.messages, probe.hop_delay_contribution, lengths, deltas
-            )
+            return route_probe(g, embeddings, src, ctx.addrs, shares, rng)
 
         # MUL: discover paths with share 1 first, then let the landmarks fit shares.
         messages = 0
@@ -509,12 +496,12 @@ class GreedyExecutor:
             paths.append(path if reached else None)
         acct = _mpc_accounting(embeddings, src, dst, include_src=False)
         if acct is None:
-            return AttemptOutcome(False, messages, walk_delay, [], [])
+            return AttemptOutcome(False, messages, walk_delay)
         messages += acct[0]
         delay = walk_delay + acct[1]
         shares = mpc_min_assign(g, paths, value, rng)
         if shares is None:
-            return AttemptOutcome(False, messages, delay, [], [])
+            return AttemptOutcome(False, messages, delay)
         settled, _, deltas, lengths = settle(g, paths, shares)
         return AttemptOutcome(settled, messages, delay, lengths, deltas)
 
@@ -549,12 +536,12 @@ class StructuralExecutor:
         if self.credit_rule == "MUL":
             acct = _mpc_accounting(embeddings, src, dst, include_src=True)
             if acct is None:
-                return AttemptOutcome(False, 0, 0, [], [])
+                return AttemptOutcome(False, 0, 0)
             messages += acct[0]
             delay += acct[1]
             shares = mpc_min_assign(g, paths, value, rng)
             if shares is None:
-                return AttemptOutcome(False, messages, delay, [], [])
+                return AttemptOutcome(False, messages, delay)
         else:
             shares = split_value(value, len(embeddings), rng)
         settled, hops, deltas, lengths = settle(g, paths, shares)
@@ -571,13 +558,15 @@ class MaxFlowExecutor:
 
     def attempt(self, g, embeddings, src, dst, value, ctx, rng):
         result = max_flow(g, src, dst, target=value)
+        # Discovery is a serial message chain, so every message is a delay hop.
+        delay = result.messages
         if result.value < value:
-            return AttemptOutcome(False, result.messages, result.delay, [], [])
+            return AttemptOutcome(False, result.messages, delay)
         paths = [path for path, _ in result.paths]
         settled, _, deltas, lengths = settle(g, paths, [amount for _, amount in result.paths])
         if not settled:
             raise InternalError("max-flow decomposition oversubscribed a link")
-        return AttemptOutcome(True, result.messages, result.delay, lengths, deltas)
+        return AttemptOutcome(True, result.messages, delay, lengths, deltas)
 
 
 Executor = GreedyExecutor | StructuralExecutor | MaxFlowExecutor

@@ -269,8 +269,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ConfigError("no max-flow-feasible transactions in the pool")
     if opts.sample and not pool:
         raise ConfigError("cannot sample from an empty transaction pool")
+    if opts.mode == "static" and (not pool or opts.sample == 0):
+        raise ConfigError("static mode needs a nonempty transaction list")
     for trees in opts.trees:
         opts.params(trees, 0).validate()
+        if opts.policy.path_rule != "FF" and trees > len(g.nodes):
+            raise ConfigError(f"cannot select {trees} landmarks from {len(g.nodes)} nodes")
 
     _make_dir(opts.out)
     summary_lines = [

@@ -36,7 +36,6 @@ import random
 from dataclasses import dataclass
 
 from .baselines import (
-    AttemptOutcome,
     Executor,
     RoutingPolicy,
     TxContext,
@@ -46,6 +45,7 @@ from .baselines import (
 from .embedding import Embedding, build_embeddings, derive_seed
 from .errors import ConfigError, InternalError
 from .graph import CreditGraph, NodeId
+from .routing import AttemptOutcome
 from .stabilization import on_link_change, periodic_rebuild
 from .workload import LinkChangeEvent, TransactionEvent
 
@@ -269,7 +269,7 @@ class _Payment:
         return TxMetric(
             self.index, self.event.time, out.success, self.attempts,
             self.ctx.setup_messages + self.messages, self.ctx.setup_delay + out.delay,
-            out.path_lengths if out.success else [], self.feasible,
+            out.path_lengths, self.feasible,
         )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ConfigError, InternalError
@@ -50,9 +50,6 @@ class CreditGraph:
         # Sorted-adjacency cache for deterministic hot loops; entries are
         # invalidated whenever a node's neighbor set changes.
         self._sorted_adj: dict[NodeId, list[NodeId]] = {}
-        # Called as hook(u, v, amount, weight, reserved) after each
-        # successful reserve; used by audit-mode test harnesses.
-        self.audit_hook: Callable[[NodeId, NodeId, int, int, int], None] | None = None
 
     # ---- basic structure ------------------------------------------------
 
@@ -154,8 +151,6 @@ class CreditGraph:
         if entry[0] - entry[1] < c:
             return False
         entry[1] += c
-        if self.audit_hook is not None:
-            self.audit_hook(u, v, c, entry[0], entry[1])
         return True
 
     def release(self, u: NodeId, v: NodeId, c: int) -> None:

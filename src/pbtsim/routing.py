@@ -9,9 +9,11 @@ next tree walks, so concurrent probes can never oversubscribe a link; if
 any tree gets stuck, all reservations across all trees are rolled back.
 
 Every policy settles through ``reserve_path`` (until a hop is refused),
-``release`` and ``commit_paths``, or ``settle``, which combines them for
-paths known in advance; min-based greedy discovery is the same walk with
-share 1 and nothing reserved.
+``release`` and ``commit_paths``. ``route_probe`` settles its own probe
+with them, and ``settle`` combines them for paths known in advance;
+min-based greedy discovery is the same walk with share 1 and nothing
+reserved. Every attempt, whatever its policy, is reported as one
+``AttemptOutcome``.
 
 Forwarders are modelled by plaintext prefix comparison against the
 address's padded coordinate. Keyed hashing stays the privacy model
@@ -33,8 +35,8 @@ a plain scan in ascending neighbor id, which the tests keep as reference.
 
 Message accounting is one message per link traversal, both for the probe
 itself and for the success/failure report travelling the reverse path
-(failure reports originate at the stuck node). The hop-delay contribution
-of an attempt is the longest such probe-plus-report chain over its trees.
+(failure reports originate at the stuck node). The delay of a probe is the
+longest such probe-plus-report chain over its trees.
 """
 
 from __future__ import annotations
@@ -342,15 +344,18 @@ def settle(
 
 
 @dataclass
-class ProbeResult:
-    """Outcome of routing one share vector across all trees."""
+class AttemptOutcome:
+    """One payment attempt: whether it settled, its messages and its delay.
+
+    A settled attempt also carries the length of each path it paid along
+    and the weight deltas that undo it; a failed one has neither.
+    """
 
     success: bool
-    paths: list[Path | None]
-    failed_at: list[NodeId | None]
     messages: int
-    hop_delay_contribution: int
-    reservations: Held = field(default_factory=list)
+    delay: int
+    path_lengths: list[int] = field(default_factory=list)
+    weight_deltas: list[LinkDelta] = field(default_factory=list)
 
 
 def route_probe(
@@ -360,45 +365,39 @@ def route_probe(
     addrs: list[ReturnAddress | None],
     shares: list[int],
     rng: random.Random,
-) -> ProbeResult:
-    """Walk every nonzero share toward its address and reserve its hops.
+) -> AttemptOutcome:
+    """Walk every nonzero share toward its address, reserve its hops, and settle.
 
-    Trees with a zero share contribute an empty path and no messages; an
+    Trees with a zero share contribute no path and no messages; an
     unattached endpoint fails its tree at src without messages. Each
     tree's hops, a stuck tree's partial hops included, are reserved before
-    the next tree walks. Any tree failure fails the probe and releases all
-    reservations.
+    the next tree walks. When every tree reaches the receiver, all paths
+    are committed; any tree failure fails the probe and releases all
+    reservations, keeping the messages and delay already spent.
     """
     if not (len(addrs) == len(shares) == len(embeddings)):
         raise ConfigError("addrs, shares and embeddings must align")
     paths: list[Path | None] = []
-    failed_at: list[NodeId | None] = []
     held: Held = []
     messages = 0
     delay = 0
     success = True
     for emb, addr, share in zip(embeddings, addrs, shares):
         if share == 0:
-            paths.append([])
-            failed_at.append(None)
+            paths.append(None)
             continue
         path, reached = greedy_walk(g, emb, src, addr, share, rng)
         if not reserve_path(g, path, share, held):
             raise InternalError(f"reserve refused after a credit check in tree {emb.tree_index}")
-        hops = len(path)
-        messages += 2 * hops
-        delay = max(delay, 2 * hops)
-        if reached:
-            paths.append(path)
-            failed_at.append(None)
-        else:
-            paths.append(None)
-            failed_at.append(path[-1][1] if path else src)
-            success = False
-    result = ProbeResult(success, paths, failed_at, messages, delay, held)
+        messages += 2 * len(path)
+        delay = max(delay, 2 * len(path))
+        paths.append(path)
+        success = success and reached
     if not success:
         release(g, held)
-    return result
+        return AttemptOutcome(False, messages, delay)
+    deltas, lengths = commit_paths(g, paths, shares)
+    return AttemptOutcome(True, messages, delay, lengths, deltas)
 
 
 def gen_addresses(

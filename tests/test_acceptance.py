@@ -121,21 +121,24 @@ def test_c1_coord_distance_oracle():
 def test_c2_grid_correctness():
     g, pool = desk_graph_and_pool(seed=101, pool_size=10_000, feasible_only=False)
     audit_count = 0
+    reserve = g.reserve
 
-    def hook(u, v, amount, weight, reserved):
+    def audited_reserve(u, v, amount):
+        """Reserve as the graph does, then check the ledger of a granted reservation."""
         nonlocal audit_count
-        audit_count += 1
-        assert 0 <= amount <= weight
-        assert 0 <= reserved <= weight
+        ok = reserve(u, v, amount)
+        if ok:
+            audit_count += 1
+            weight, reserved = g.weight(u, v), g.reserved(u, v)
+            assert 0 <= amount <= weight
+            assert 0 <= reserved <= weight
+        return ok
 
-    g.audit_hook = hook
-    try:
-        for policy in grid_policies():
-            params = SimParams(trees=TREES, attempts=ATTEMPTS, seed=7, audit=True)
-            metrics = run_static(g, pool, policy, params)
-            assert metrics.success_ratio() > 0, policy.label
-    finally:
-        g.audit_hook = None
+    g.reserve = audited_reserve
+    for policy in grid_policies():
+        params = SimParams(trees=TREES, attempts=ATTEMPTS, seed=7, audit=True)
+        metrics = run_static(g, pool, policy, params)
+        assert metrics.success_ratio() > 0, policy.label
     assert audit_count > 100_000
 
 

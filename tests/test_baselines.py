@@ -329,11 +329,13 @@ def test_flow_feasible_cancels_flow_on_a_shortest_path():
     assert not flow_feasible(g, 0, 5, 3)
 
 
-def test_max_flow_target_stops_early():
+def test_max_flow_target_stops_early(rng):
     g, _ = path_graph([5, 5])
     result = max_flow(g, 0, 1, target=credit(3))
     assert result.value == credit(3)
-    assert result.messages == result.delay  # serial discovery chain model
+    ex = make_executor(MAX_FLOW_POLICY)
+    out = ex.attempt(g, [], 0, 1, credit(3), ex.begin(g, [], 0, 1, credit(3), rng), rng)
+    assert out.messages == out.delay == result.messages  # serial discovery chain model
 
 
 def test_max_flow_missing_endpoint():

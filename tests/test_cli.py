@@ -194,6 +194,41 @@ def test_run_bad_parameter_exits_2_before_creating_out(workload, tmp_path, capsy
     assert not (tmp_path / "x").exists()
 
 
+@pytest.fixture
+def small_workload(tmp_path):
+    snap, txs = tmp_path / "small_s.csv", tmp_path / "small_t.csv"
+    assert main(["generate", "--nodes", "40", "--tx-count", "20", "--seed", "3",
+                 "--snapshot-out", str(snap), "--transactions-out", str(txs)]) == 0
+    return snap, txs
+
+
+@pytest.mark.parametrize("trees,first_bad", [("99", 99), ("2..99", 41)])
+def test_run_more_trees_than_nodes_exits_2_before_creating_out(small_workload, tmp_path,
+                                                                capsys, trees, first_bad):
+    args = run_args(small_workload, tmp_path / "x", extra=("--trees", trees))
+    assert main(args) == 2
+    assert f"cannot select {first_bad} landmarks from 40 nodes" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    # FF selects no landmarks, so any tree count runs
+    args = run_args(small_workload, tmp_path / "ff", policy="FF", extra=("--trees", trees))
+    assert main(args) == 0
+
+
+@pytest.mark.parametrize("empty", ["sample", "pool"])
+def test_static_run_without_transactions_exits_2_before_creating_out(
+        small_workload, tmp_path, capsys, empty):
+    snap, txs = small_workload
+    extra = ()
+    if empty == "sample":
+        extra = ("--sample", "0")
+    else:
+        txs = tmp_path / "empty.csv"
+        txs.write_text("time,value,src,dst\n")
+    assert main(run_args((snap, txs), tmp_path / "x", extra=extra)) == 2
+    assert "static mode needs a nonempty transaction list" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_greedy_routing_on_tree_deeper_than_address_length(tmp_path):
     """A ring lattice without rewiring grows trees far deeper than the
     16-element address; return addresses pad to the next multiple of 16."""

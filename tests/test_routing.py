@@ -13,13 +13,13 @@ from pbtsim.embedding import (
     gen_return_address,
 )
 from pbtsim.engine import SimParams, run_static
-from pbtsim.graph import CreditGraph
+from pbtsim.graph import CreditGraph, LinkDelta
 from pbtsim.stabilization import on_link_change
 from pbtsim.routing import (
     build_neighbor_index,
     gen_addresses,
+    greedy_walk,
     next_hop,
-    release,
     route_probe,
     settle,
     split_value,
@@ -294,33 +294,43 @@ def test_probe_single_hop(rng):
     bi_link(g, 0, 1)
     embs = build_embeddings(g, [0], seed=4)
     addrs = gen_addresses(embs, 1, rng)
-    probe = route_probe(g, embs, 0, addrs, [credit(2)], rng)
-    assert probe.success
-    assert probe.paths == [[(0, 1)]]
-    assert probe.messages == 2
-    assert g.reserved(0, 1) == credit(2)
-    release(g, probe.reservations)
+    out = route_probe(g, embs, 0, addrs, [credit(2)], rng)
+    assert out.success
+    assert out.path_lengths == [1]
+    assert out.weight_deltas == [
+        LinkDelta(0, 1, credit(10), credit(8)), LinkDelta(1, 0, credit(10), credit(12)),
+    ]
+    assert out.messages == 2
+    assert g.weight(0, 1) == credit(8)
     assert g.total_reserved() == 0
+    g.rollback_weights(out.weight_deltas)
+    assert g.weight(0, 1) == g.weight(1, 0) == credit(10)
 
 
 def test_probe_zero_share_tree_skipped(rng):
     g, embs = two_path_embeddings()
     addrs = [gen_return_address(emb.coord[3], 8, rng) for emb in embs]
-    probe = route_probe(g, embs, 0, addrs, [0, credit(5)], rng)
-    assert probe.success
-    assert probe.paths[0] == []
-    assert [len(p) for p in probe.paths] == [0, 2]
-    release(g, probe.reservations)
+    out = route_probe(g, embs, 0, addrs, [0, credit(5)], rng)
+    assert out.success
+    assert out.path_lengths == [2]  # tree 0 carries nothing and has no path
+    assert g.weight(0, 1) == g.weight(1, 3) == credit(3)
+    assert g.weight(0, 2) == g.weight(2, 3) == credit(2)
+    assert g.total_reserved() == 0
+    g.rollback_weights(out.weight_deltas)
+    assert g.weight(0, 2) == g.weight(2, 3) == credit(7)
 
 
 def test_probe_failure_rolls_back_all_trees(rng):
     g, embs = two_path_embeddings()
+    before = {k: list(v) for k, v in g._links.items()}
     addrs = [gen_return_address(emb.coord[3], 8, rng) for emb in embs]
-    probe = route_probe(g, embs, 0, addrs, [credit(4), credit(4)], rng)
-    assert not probe.success
+    out = route_probe(g, embs, 0, addrs, [credit(4), credit(4)], rng)
+    assert not out.success
+    assert out.path_lengths == [] and out.weight_deltas == []
     assert g.total_reserved() == 0
-    # failed at node 0 in tree 0 (its only route lacks credit), zero hops
-    assert probe.failed_at[0] == 0
+    assert {k: list(v) for k, v in g._links.items()} == before
+    # stuck at node 0 in tree 0 (its only route lacks credit), zero hops
+    assert greedy_walk(g, embs[0], 0, addrs[0], credit(4), rng) == ([], False)
 
 
 def test_probe_unattached_source_fails_quietly(rng):
@@ -348,14 +358,17 @@ def test_probe_greedy_progress(rng):
                 continue
             addrs = gen_addresses(embs, dst, rng)
             shares = split_value(credit(2), len(embs), rng)
-            probe = route_probe(g, embs, src, addrs, shares, rng)
-            for emb, addr, path in zip(embs, addrs, probe.paths):
+            for emb, addr, share in zip(embs, addrs, shares):
+                path, _ = greedy_walk(g, emb, src, addr, share, rng)
                 if not path:
                     continue
                 dists = [address_distance(emb.coord[x], addr) for x, _ in path]
                 dists.append(address_distance(emb.coord[path[-1][1]], addr))
                 assert all(a > b for a, b in zip(dists, dists[1:]))
-            release(g, probe.reservations)
+            out = route_probe(g, embs, src, addrs, shares, rng)
+            if out.success:
+                assert len(out.path_lengths) == sum(share > 0 for share in shares)
+            g.rollback_weights(out.weight_deltas)
         assert g.total_reserved() == 0
 
 
@@ -364,15 +377,43 @@ def test_interleaved_probes_respect_reservations(rng):
     bi_link(g, 0, 1, w=10)
     embs = build_embeddings(g, [0], seed=6)
     addrs = gen_addresses(embs, 1, rng)
-    probe_a = route_probe(g, embs, 0, addrs, [credit(6)], rng)
-    assert probe_a.success
-    # probe B wants 6 but only 4 guaranteed credit remains
-    probe_b = route_probe(g, embs, 0, addrs, [credit(6)], rng)
-    assert not probe_b.success
-    release(g, probe_a.reservations)
-    probe_c = route_probe(g, embs, 0, addrs, [credit(6)], rng)
-    assert probe_c.success
-    release(g, probe_c.reservations)
+    out_a = route_probe(g, embs, 0, addrs, [credit(6)], rng)
+    assert out_a.success
+    # probe B wants 6 but only 4 guaranteed credit remains while A's payment stands
+    out_b = route_probe(g, embs, 0, addrs, [credit(6)], rng)
+    assert not out_b.success
+    g.rollback_weights(out_a.weight_deltas)
+    out_c = route_probe(g, embs, 0, addrs, [credit(6)], rng)
+    assert out_c.success
+    g.rollback_weights(out_c.weight_deltas)
+    assert g.weight(0, 1) == credit(10)
+
+
+def test_ge_rand_attempt_is_one_route_probe():
+    """A GE-RAND-OND attempt is a share split followed by one route_probe call."""
+    g = random_graph(40, 30, seed=21, wmin=1, wmax=6)
+    embs = build_embeddings(g, g.select_landmarks(3, "degree"), seed=21)
+    executor = make_executor(parse_policy("GE-RAND-OND"))
+    rnd = random.Random(21)
+    outcomes = set()
+    for _ in range(60):
+        src, dst = rnd.randrange(40), rnd.randrange(40)
+        if src == dst:
+            continue
+        value = credit(rnd.randint(1, 8))
+        ctx = executor.begin(g, embs, src, dst, value, rnd)
+        state = rnd.getstate()
+        out = executor.attempt(g, embs, src, dst, value, ctx, rnd)
+        g.rollback_weights(out.weight_deltas)
+        rng_probe = random.Random()
+        rng_probe.setstate(state)
+        shares = split_value(value, len(embs), rng_probe)
+        assert route_probe(g, embs, src, ctx.addrs, shares, rng_probe) == out
+        assert rng_probe.getstate() == rnd.getstate()
+        g.rollback_weights(out.weight_deltas)
+        outcomes.add(out.success)
+    assert outcomes == {True, False}
+    assert g.total_reserved() == 0
 
 
 def test_settle_is_all_or_nothing():

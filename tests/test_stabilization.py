@@ -210,6 +210,15 @@ def check_embedding_invariants(g, emb):
     emb.check_invariants()
     for v, p in emb.parent.items():
         assert p in g.neighbors(v)  # parent link exists in some direction
+    # Liveness: every node connected to the landmark is attached.
+    component = {emb.landmark}
+    frontier = [emb.landmark]
+    while frontier:
+        for n in g.neighbors(frontier.pop()):
+            if n not in component:
+                component.add(n)
+                frontier.append(n)
+    assert all(emb.attached(n) for n in component)
 
 
 def test_invariants_and_cost_locality_under_churn():
