@@ -12,9 +12,12 @@ same max-flow question by value alone, at a fraction of the cost.
 
 Each executor's ``attempt`` discovers paths, assigns credit, reserves
 along the paths and settles or rolls back, with the one greedy walk and
-the one reserve/release/commit path of ``routing``. Its result record is
-``routing.AttemptOutcome``: whether the attempt settled, its messages and
-delay, and for a settlement the path lengths and the weight deltas.
+the one reserve/release/commit loop of ``routing``, ``settle``: GE-RAND
+passes it greedy walks through ``route_probe``, and every other policy
+passes the paths it found in advance as ``given(paths)``. Its result
+record is ``routing.AttemptOutcome``: whether the attempt settled, its
+messages and delay, and for a settlement the path lengths and the weight
+deltas.
 
 Message accounting (one message per link traversal):
   * every policy pays 2 x hops per tree for the single physical path
@@ -44,6 +47,7 @@ from .routing import (
     AttemptOutcome,
     Path,
     gen_addresses,
+    given,
     greedy_walk,
     next_hop,  # noqa: F401  bench/harness.py traces it here
     route_probe,
@@ -502,7 +506,7 @@ class GreedyExecutor:
         shares = mpc_min_assign(g, paths, value, rng)
         if shares is None:
             return AttemptOutcome(False, messages, delay)
-        settled, _, deltas, lengths = settle(g, paths, shares)
+        settled, _, deltas, lengths = settle(g, shares, given(paths))
         return AttemptOutcome(settled, messages, delay, lengths, deltas)
 
 
@@ -544,7 +548,7 @@ class StructuralExecutor:
                 return AttemptOutcome(False, messages, delay)
         else:
             shares = split_value(value, len(embeddings), rng)
-        settled, hops, deltas, lengths = settle(g, paths, shares)
+        settled, hops, deltas, lengths = settle(g, shares, given(paths))
         messages += 2 * sum(hops)
         delay += 2 * max(hops, default=0)
         return AttemptOutcome(settled, messages, delay, lengths, deltas)
@@ -563,7 +567,8 @@ class MaxFlowExecutor:
         if result.value < value:
             return AttemptOutcome(False, result.messages, delay)
         paths = [path for path, _ in result.paths]
-        settled, _, deltas, lengths = settle(g, paths, [amount for _, amount in result.paths])
+        amounts = [amount for _, amount in result.paths]
+        settled, _, deltas, lengths = settle(g, amounts, given(paths))
         if not settled:
             raise InternalError("max-flow decomposition oversubscribed a link")
         return AttemptOutcome(True, result.messages, delay, lengths, deltas)

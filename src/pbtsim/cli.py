@@ -65,14 +65,14 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_trees(text: str) -> list[int]:
+def _parse_trees(text: str) -> range:
     """A tree count, or every count of a `lo..hi` sweep."""
     lo_text, sweep, hi_text = text.partition("..")
     lo = parse_int(lo_text, "trees")
     hi = parse_int(hi_text, "trees") if sweep else lo
     if lo < 1 or hi < lo:
         raise ConfigError(f"bad trees value {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _parse_bool(text: str) -> bool:
@@ -271,10 +271,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError("cannot sample from an empty transaction pool")
     if opts.mode == "static" and (not pool or opts.sample == 0):
         raise ConfigError("static mode needs a nonempty transaction list")
-    for trees in opts.trees:
-        opts.params(trees, 0).validate()
-        if opts.policy.path_rule != "FF" and trees > len(g.nodes):
-            raise ConfigError(f"cannot select {trees} landmarks from {len(g.nodes)} nodes")
+    # Every count of the sweep is >= 1, so the first one validates them all.
+    opts.params(opts.trees[0], 0).validate()
+    n = len(g.nodes)
+    if opts.policy.path_rule != "FF" and opts.trees[-1] > n:
+        raise ConfigError(f"cannot select {max(opts.trees[0], n + 1)} landmarks from {n} nodes")
 
     _make_dir(opts.out)
     summary_lines = [

@@ -8,12 +8,13 @@ guaranteed available credit. Each tree's hops are reserved before the
 next tree walks, so concurrent probes can never oversubscribe a link; if
 any tree gets stuck, all reservations across all trees are rolled back.
 
-Every policy settles through ``reserve_path`` (until a hop is refused),
-``release`` and ``commit_paths``. ``route_probe`` settles its own probe
-with them, and ``settle`` combines them for paths known in advance;
-min-based greedy discovery is the same walk with share 1 and nothing
-reserved. Every attempt, whatever its policy, is reported as one
-``AttemptOutcome``.
+``settle`` is the one loop that reserves, releases and commits: it asks a
+route for each tree's hops in turn, reserves them, and commits every tree
+or releases every reservation. ``route_probe`` passes it greedy walks;
+paths known in advance (landmark, tree-only, min-based greedy discovery
+and max-flow paths) are passed as ``given(paths)``. Min-based greedy
+discovery is the same walk with share 1 and nothing reserved. Every
+attempt, whatever its policy, is reported as one ``AttemptOutcome``.
 
 Forwarders are modelled by plaintext prefix comparison against the
 address's padded coordinate. Keyed hashing stays the privacy model
@@ -42,6 +43,7 @@ longest such probe-plus-report chain over its trees.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .embedding import (
@@ -255,9 +257,6 @@ def next_hop(
     return ties[rng.randrange(len(ties))]
 
 
-Held = list[tuple[NodeId, NodeId, int]]  # (u, v, amount) reservations to release
-
-
 def greedy_walk(
     g: CreditGraph,
     emb: Embedding,
@@ -289,58 +288,52 @@ def greedy_walk(
     return path, True
 
 
-def reserve_path(g: CreditGraph, path: Path, share: int, held: Held) -> bool:
-    """Reserve share on each hop in order, recording it in held; False at a refusal."""
-    for x, y in path:
-        if not g.reserve(x, y, share):
-            return False
-        held.append((x, y, share))
-    return True
+Route = Callable[[int, int], tuple[Path, bool]]  # (tree, share) -> (hops, reaches the receiver)
 
 
-def release(g: CreditGraph, held: Held) -> None:
-    """Return every held reservation to the ledger and empty the list."""
-    for u, v, amount in held:
-        g.release(u, v, amount)
-    held.clear()
-
-
-def commit_paths(
-    g: CreditGraph, paths: list[Path | None], shares: list[int]
-) -> tuple[list[LinkDelta], list[int]]:
-    """Settle every nonzero-share path in tree order; (weight deltas, path lengths)."""
-    deltas: list[LinkDelta] = []
-    lengths: list[int] = []
-    for path, share in zip(paths, shares):
-        if share > 0 and path is not None:
-            deltas.extend(g.commit_payment(path, share))
-            lengths.append(len(path))
-    return deltas, lengths
+def given(paths: list[Path | None]) -> Route:
+    """The route of paths known in advance; a missing path reaches nobody."""
+    return lambda i, share: ([], False) if paths[i] is None else (paths[i], True)
 
 
 def settle(
-    g: CreditGraph, paths: list[Path | None], shares: list[int]
+    g: CreditGraph, shares: list[int], route: Route
 ) -> tuple[bool, list[int], list[LinkDelta], list[int]]:
-    """Reserve every nonzero share along its path, then commit all or release all.
+    """Reserve every nonzero share along its tree's route, then commit all or release all.
 
-    Every tree is tried even after a refusal, as a walk up to the refused
-    hop is still paid for; a missing path with a nonzero share reserves
-    nothing. Returns (settled, hops reserved per tree, weight deltas, path
-    lengths); the last two are empty unless settled.
+    The one loop that writes the ledger. Tree i's route is asked for its
+    hops only after the earlier trees' hops are reserved, so a greedy walk
+    sees those reservations; a share-0 tree is not asked. Each route is
+    reserved hop by hop up to the first refusal, which fails its tree.
+    Every tree is tried even after a failure, as a walk up to its last hop
+    is still paid for. Returns (settled, hops reserved per tree, weight
+    deltas, path lengths); the last two are empty unless settled.
     """
-    held: Held = []
+    taken: list[tuple[Path, int, int]] = []  # (path, share, hops reserved)
     hops: list[int] = []
     ok = True
-    for path, share in zip(paths, shares):
-        before = len(held)
-        if share > 0:
-            ok = path is not None and reserve_path(g, path, share, held) and ok
-        hops.append(len(held) - before)
+    for i, share in enumerate(shares):
+        if share <= 0:
+            hops.append(0)
+            continue
+        path, complete = route(i, share)
+        reserved = 0
+        for x, y in path:
+            if not g.reserve(x, y, share):
+                break
+            reserved += 1
+        ok = ok and complete and reserved == len(path)
+        hops.append(reserved)
+        taken.append((path, share, reserved))
     if not ok:
-        release(g, held)
+        for path, share, reserved in taken:
+            for x, y in path[:reserved]:
+                g.release(x, y, share)
         return False, hops, [], []
-    deltas, lengths = commit_paths(g, paths, shares)
-    return True, hops, deltas, lengths
+    deltas: list[LinkDelta] = []
+    for path, share, _ in taken:
+        deltas.extend(g.commit_payment(path, share))
+    return True, hops, deltas, [len(path) for path, _, _ in taken]
 
 
 @dataclass
@@ -366,38 +359,30 @@ def route_probe(
     shares: list[int],
     rng: random.Random,
 ) -> AttemptOutcome:
-    """Walk every nonzero share toward its address, reserve its hops, and settle.
+    """Settle the shares along greedy walks from src toward the addresses.
 
-    Trees with a zero share contribute no path and no messages; an
-    unattached endpoint fails its tree at src without messages. Each
-    tree's hops, a stuck tree's partial hops included, are reserved before
-    the next tree walks. When every tree reaches the receiver, all paths
-    are committed; any tree failure fails the probe and releases all
-    reservations, keeping the messages and delay already spent.
+    The walks are the route passed to ``settle``: tree i walks its share
+    only after the earlier trees' hops, a stuck tree's partial hops
+    included, are reserved. Trees with a zero share contribute no path and
+    no messages; an unattached endpoint fails its tree at src without
+    messages. A failure releases all reservations and keeps the messages
+    and delay already spent. The walk checks credit before each hop, so a
+    refused reservation is an ``InternalError``.
     """
     if not (len(addrs) == len(shares) == len(embeddings)):
         raise ConfigError("addrs, shares and embeddings must align")
-    paths: list[Path | None] = []
-    held: Held = []
-    messages = 0
-    delay = 0
-    success = True
-    for emb, addr, share in zip(embeddings, addrs, shares):
-        if share == 0:
-            paths.append(None)
-            continue
-        path, reached = greedy_walk(g, emb, src, addr, share, rng)
-        if not reserve_path(g, path, share, held):
+    walked = [0] * len(shares)
+
+    def walk(i: int, share: int) -> tuple[Path, bool]:
+        path, reached = greedy_walk(g, embeddings[i], src, addrs[i], share, rng)
+        walked[i] = len(path)
+        return path, reached
+
+    settled, hops, deltas, lengths = settle(g, shares, walk)
+    for emb, reserved, length in zip(embeddings, hops, walked):
+        if reserved != length:
             raise InternalError(f"reserve refused after a credit check in tree {emb.tree_index}")
-        messages += 2 * len(path)
-        delay = max(delay, 2 * len(path))
-        paths.append(path)
-        success = success and reached
-    if not success:
-        release(g, held)
-        return AttemptOutcome(False, messages, delay)
-    deltas, lengths = commit_paths(g, paths, shares)
-    return AttemptOutcome(True, messages, delay, lengths, deltas)
+    return AttemptOutcome(settled, 2 * sum(hops), 2 * max(hops, default=0), lengths, deltas)
 
 
 def gen_addresses(

@@ -214,6 +214,15 @@ def test_run_more_trees_than_nodes_exits_2_before_creating_out(small_workload, t
     assert main(args) == 0
 
 
+def test_huge_trees_sweep_exits_2_without_building_it(small_workload, tmp_path, capsys):
+    # A list of every count would need terabytes; the bound is checked on the range.
+    args = run_args(small_workload, tmp_path / "x", policy="GE-RAND-OND",
+                    extra=("--trees", "1..1000000000000"))
+    assert main(args) == 2
+    assert "cannot select 41 landmarks from 40 nodes" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("empty", ["sample", "pool"])
 def test_static_run_without_transactions_exits_2_before_creating_out(
         small_workload, tmp_path, capsys, empty):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbtsim.baselines import make_executor, parse_policy
@@ -13,11 +14,13 @@ from pbtsim.embedding import (
     gen_return_address,
 )
 from pbtsim.engine import SimParams, run_static
+from pbtsim.errors import InternalError
 from pbtsim.graph import CreditGraph, LinkDelta
 from pbtsim.stabilization import on_link_change
 from pbtsim.routing import (
     build_neighbor_index,
     gen_addresses,
+    given as given_paths,
     greedy_walk,
     next_hop,
     route_probe,
@@ -416,18 +419,45 @@ def test_ge_rand_attempt_is_one_route_probe():
     assert g.total_reserved() == 0
 
 
+def test_stuck_walk_reservation_is_seen_by_the_next_tree():
+    """Tree 0 reserves 0->1 and sticks at 1; tree 1 then finds 0->1 short."""
+    g = CreditGraph()
+    bi_link(g, 0, 1, w=10)
+    g.set_link(1, 2, credit(3))
+    g.set_link(2, 1, credit(10))
+    embs = build_embeddings(g, [0, 2], seed=3)
+    rng = random.Random(3)
+    addrs = gen_addresses(embs, 2, rng)
+    out = route_probe(g, embs, 0, addrs, [credit(6), credit(6)], rng)
+    assert not out.success
+    # without tree 0's reservation, tree 1 would walk 0->1 too: 4 messages
+    assert (out.messages, out.delay) == (2, 2)
+    assert g.total_reserved() == 0
+
+
+def test_probe_refused_reservation_is_internal_error(rng, monkeypatch):
+    g = CreditGraph()
+    bi_link(g, 0, 1)
+    embs = build_embeddings(g, [0], seed=4)
+    addrs = gen_addresses(embs, 1, rng)
+    monkeypatch.setattr(CreditGraph, "reserve", lambda self, u, v, c: False)
+    with pytest.raises(InternalError, match="reserve refused after a credit check in tree 0"):
+        route_probe(g, embs, 0, addrs, [credit(2)], rng)
+    assert g.total_reserved() == 0
+
+
 def test_settle_is_all_or_nothing():
     g = CreditGraph()
     g.set_link(0, 1, credit(5))
     g.set_link(1, 2, credit(5))
     # the second path's first hop is refused: nothing stays reserved
-    assert settle(g, [[(0, 1)], [(0, 1), (1, 2)]], [credit(3), credit(3)]) == \
+    assert settle(g, [credit(3), credit(3)], given_paths([[(0, 1)], [(0, 1), (1, 2)]])) == \
         (False, [1, 0], [], [])
     # a missing path with a nonzero share fails; with a zero share it is skipped
-    assert settle(g, [[(0, 1)], None], [credit(1), credit(1)])[:2] == (False, [1, 0])
+    assert settle(g, [credit(1), credit(1)], given_paths([[(0, 1)], None]))[:2] == (False, [1, 0])
     assert g.total_reserved() == 0
     settled, hops, deltas, lengths = settle(
-        g, [[(0, 1)], None, [(0, 1), (1, 2)]], [credit(2), 0, credit(3)]
+        g, [credit(2), 0, credit(3)], given_paths([[(0, 1)], None, [(0, 1), (1, 2)]])
     )
     assert (settled, hops, lengths) == (True, [1, 0, 2], [1, 2])
     assert len(deltas) == 6
