@@ -26,18 +26,21 @@ Message accounting (one message per link traversal):
     reserving the payment;
   * greedy policies pay one out-of-band message per tree for return
     address delivery (one delay hop), configurable off;
-  * with min-based assignment the sender and receiver each send one
-    message per landmark along the tree (receiver only, under greedy
-    discovery), the landmarks exchange pairwise messages, and results
-    travel back to the sender, all charged by tree-path length;
+  * min-based assignment (``_landmark_min``, the one min computation): the
+    sender and receiver each send one message per landmark along the tree
+    (receiver only, under greedy discovery), the landmarks exchange
+    pairwise messages, and results travel back to the sender, all charged
+    by tree-path length;
   * structural policies without the min computation still need the
-    endpoint positions, charged as one message per endpoint per landmark.
+    endpoint positions: depth(src) + depth(dst) messages in every tree
+    where both endpoints are attached.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .embedding import Embedding, ReturnAddress
@@ -121,6 +124,16 @@ def grid_policies() -> list[RoutingPolicy]:
 # ---- structural path construction ------------------------------------------
 
 
+def _tree_paths(embeddings: list[Embedding], src: NodeId, dst: NodeId,
+                nodes_of: Callable[[Embedding], list[NodeId]]) -> list[Path | None]:
+    """Per tree: None where either endpoint is unattached, else the hops of nodes_of(tree)."""
+    paths: list[Path | None] = []
+    for emb in embeddings:
+        nodes = nodes_of(emb) if emb.attached(src) and emb.attached(dst) else None
+        paths.append(None if nodes is None else list(zip(nodes, nodes[1:])))
+    return paths
+
+
 def landmark_paths(
     embeddings: list[Embedding], src: NodeId, dst: NodeId
 ) -> list[Path | None]:
@@ -129,30 +142,15 @@ def landmark_paths(
     The concatenation may revisit nodes; that is inherent to the scheme.
     Trees where either endpoint is unattached yield None.
     """
-    paths: list[Path | None] = []
-    for emb in embeddings:
-        if not emb.attached(src) or not emb.attached(dst):
-            paths.append(None)
-            continue
-        up = emb.path_to_landmark(src)
-        down = emb.path_to_landmark(dst)[::-1]
-        nodes = up + down[1:]
-        paths.append(list(zip(nodes, nodes[1:])))
-    return paths
+    return _tree_paths(embeddings, src, dst, lambda emb: (
+        emb.path_to_landmark(src) + emb.path_to_landmark(dst)[::-1][1:]))
 
 
 def tree_only_paths(
     embeddings: list[Embedding], src: NodeId, dst: NodeId
 ) -> list[Path | None]:
     """Per tree: the unique tree path through the lowest common ancestor."""
-    paths: list[Path | None] = []
-    for emb in embeddings:
-        if not emb.attached(src) or not emb.attached(dst):
-            paths.append(None)
-            continue
-        nodes = emb.tree_path(src, dst)
-        paths.append(list(zip(nodes, nodes[1:])))
-    return paths
+    return _tree_paths(embeddings, src, dst, lambda emb: emb.tree_path(src, dst))
 
 
 # ---- min-based credit assignment -------------------------------------------
@@ -169,9 +167,13 @@ def mpc_min_assign(
     Mirrors the landmark computation: split c randomly over the paths,
     then repeatedly move everything above a path's minimum onto paths
     with headroom until all shares fit. Returns None when the minima
-    cannot cover c (or the loop fails to settle within the generous
-    iteration bound, which strictly reducing excess makes unreachable in
-    practice).
+    cannot cover c.
+
+    Each round caps every over-share path at its minimum, and a capped
+    path never receives more, so each round caps at least one more path
+    for good. Once k-1 of the k paths are capped, the last one holds at
+    most its minimum, as the minima cover c. So the shares fit after at
+    most k-1 rounds, and a k-th round is an ``InternalError``.
     """
     z = [
         min((g.available(x, y) for x, y in path), default=0) if path is not None else 0
@@ -180,14 +182,10 @@ def mpc_min_assign(
     if sum(z) < c:
         return None
     shares = split_value(c, len(paths), rng)
-    rounds = 0
-    while True:
+    for _ in range(len(paths)):
         over = [i for i in range(len(paths)) if shares[i] > z[i]]
         if not over:
             return shares
-        rounds += 1
-        if rounds > 10 * len(paths):
-            return None
         excess = 0
         for i in over:
             excess += shares[i] - z[i]
@@ -196,6 +194,7 @@ def mpc_min_assign(
         parts = split_value(excess, len(room), rng)
         for i, part in zip(room, parts):
             shares[i] += part
+    raise InternalError(f"min-based assignment did not fit {len(paths)} shares")
 
 
 # ---- distributed Ford-Fulkerson --------------------------------------------
@@ -436,13 +435,16 @@ class TxContext:
     addrs: list[ReturnAddress | None] | None = None
 
 
-def _mpc_accounting(
-    embeddings: list[Embedding], src: NodeId, dst: NodeId, include_src: bool
-) -> tuple[int, int] | None:
-    """Messages and chain delay of the landmark min computation.
+def _landmark_min(
+    g: CreditGraph, embeddings: list[Embedding], paths: list[Path | None],
+    src: NodeId, dst: NodeId, value: int, include_src: bool, rng: random.Random,
+) -> tuple[list[int] | None, int, int]:
+    """The landmarks' min computation: (shares, messages, delay).
 
-    None when some share message is undeliverable (an endpoint or a peer
-    landmark is unattached in one of the trees), which fails the probe.
+    Charged as the module docstring says; the delay is the longest collect
+    plus exchange plus results chain. An endpoint or peer landmark
+    unattached in some tree gives (None, 0, 0) without drawing from rng;
+    otherwise the shares are ``mpc_min_assign``'s, None when short.
     """
     messages = 0
     collect = 0
@@ -450,7 +452,7 @@ def _mpc_accounting(
     results = 0
     for emb in embeddings:
         if not emb.attached(src) or not emb.attached(dst):
-            return None
+            return None, 0, 0
         d_src, d_dst = emb.depth(src), emb.depth(dst)
         if include_src:
             messages += d_src
@@ -462,12 +464,12 @@ def _mpc_accounting(
                 continue
             peer_coord = emb.coord.get(other.landmark)
             if peer_coord is None:
-                return None
+                return None, 0, 0
             messages += len(peer_coord)
             exchange = max(exchange, len(peer_coord))
         messages += d_src
         results = max(results, d_src)
-    return messages, collect + exchange + results
+    return mpc_min_assign(g, paths, value, rng), messages, collect + exchange + results
 
 
 class GreedyExecutor:
@@ -490,20 +492,11 @@ class GreedyExecutor:
             return route_probe(g, embeddings, src, ctx.addrs, shares, rng)
 
         # MUL: discover paths with share 1 first, then let the landmarks fit shares.
-        messages = 0
-        walk_delay = 0
-        paths: list[Path | None] = []
-        for emb, addr in zip(embeddings, ctx.addrs):
-            path, reached = greedy_walk(g, emb, src, addr, 1, rng)
-            messages += 2 * len(path)
-            walk_delay = max(walk_delay, 2 * len(path))
-            paths.append(path if reached else None)
-        acct = _mpc_accounting(embeddings, src, dst, include_src=False)
-        if acct is None:
-            return AttemptOutcome(False, messages, walk_delay)
-        messages += acct[0]
-        delay = walk_delay + acct[1]
-        shares = mpc_min_assign(g, paths, value, rng)
+        walks = [greedy_walk(g, emb, src, addr, 1, rng) for emb, addr in zip(embeddings, ctx.addrs)]
+        paths = [path if reached else None for path, reached in walks]
+        shares, messages, delay = _landmark_min(g, embeddings, paths, src, dst, value, False, rng)
+        messages += 2 * sum(len(path) for path, _ in walks)
+        delay += 2 * max((len(path) for path, _ in walks), default=0)
         if shares is None:
             return AttemptOutcome(False, messages, delay)
         settled, _, deltas, lengths = settle(g, shares, given(paths))
@@ -517,11 +510,6 @@ class StructuralExecutor:
         self.path_rule = path_rule
         self.credit_rule = credit_rule
 
-    def _paths(self, embeddings, src, dst):
-        if self.path_rule == "LM":
-            return landmark_paths(embeddings, src, dst)
-        return tree_only_paths(embeddings, src, dst)
-
     def begin(self, g, embeddings, src, dst, value, rng):
         ctx = TxContext()
         if self.credit_rule == "RAND":
@@ -534,20 +522,15 @@ class StructuralExecutor:
         return ctx
 
     def attempt(self, g, embeddings, src, dst, value, ctx, rng):
-        paths = self._paths(embeddings, src, dst)
-        messages = 0
-        delay = 0
+        find_paths = landmark_paths if self.path_rule == "LM" else tree_only_paths
+        paths = find_paths(embeddings, src, dst)
         if self.credit_rule == "MUL":
-            acct = _mpc_accounting(embeddings, src, dst, include_src=True)
-            if acct is None:
-                return AttemptOutcome(False, 0, 0)
-            messages += acct[0]
-            delay += acct[1]
-            shares = mpc_min_assign(g, paths, value, rng)
+            shares, messages, delay = _landmark_min(
+                g, embeddings, paths, src, dst, value, True, rng)
             if shares is None:
                 return AttemptOutcome(False, messages, delay)
         else:
-            shares = split_value(value, len(embeddings), rng)
+            shares, messages, delay = split_value(value, len(embeddings), rng), 0, 0
         settled, hops, deltas, lengths = settle(g, shares, given(paths))
         messages += 2 * sum(hops)
         delay += 2 * max(hops, default=0)

@@ -42,6 +42,7 @@ from .baselines import (
     flow_feasible,
     make_executor,
 )
+from .credit import SCALE
 from .embedding import Embedding, build_embeddings, derive_seed
 from .errors import ConfigError, InternalError
 from .graph import CreditGraph, NodeId
@@ -389,7 +390,7 @@ class _Schedule:
         if len(times) >= 2 and times[-1] > times[0]:
             span, den = times[-1] - times[0], len(times) - 1
         else:
-            span, den = 1, 1
+            span, den = SCALE, 1  # no spread to measure: a mean gap of one time unit
         return cls(t0, span, den, epoch)
 
     def epoch_of(self, t: int) -> int:

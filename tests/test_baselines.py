@@ -207,6 +207,48 @@ def test_mpc_dead_path_gets_zero(rng):
     assert shares[1] == 0 and shares[0] == credit(4)
 
 
+@settings(max_examples=300, deadline=None)
+@given(caps=st.lists(st.integers(0, 12), min_size=1, max_size=7),
+       c=st.integers(0, 90), seed=st.integers(0, 2**32 - 1))
+def test_mpc_shares_fit_the_minima_whenever_they_cover_the_value(caps, c, seed):
+    g, paths = path_graph(caps)
+    shares = mpc_min_assign(g, paths, credit(c), random.Random(seed))
+    if c > sum(caps):
+        assert shares is None
+        return
+    assert sum(shares) == credit(c)
+    assert all(0 <= share <= credit(cap) for share, cap in zip(shares, caps))
+
+
+# (success, messages, delay) of one attempt of 0 -> 3 on the line 0-1-2-3
+# (link 10-11 elsewhere) with the landmarks and value given. GE-MUL pays the
+# share-1 walks, 2 x 3 hops per tree, before the min computation; LM/TO-MUL
+# pay the min computation and then 2 x the hops reserved.
+MIN_CHARGES = {
+    ((1, 2), 4): ((True, 20, 11), (True, 23, 11)),
+    ((1, 2), 25): ((False, 20, 11), (False, 11, 5)),  # the minima fall short
+    ((1, 10), 4): ((False, 6, 6), (False, 0, 0)),  # peer landmark 10 unattached
+}
+
+
+@pytest.mark.parametrize("label", ["GE-MUL-PER", "LM-MUL-PER", "TO-MUL-PER"])
+@pytest.mark.parametrize("landmarks,value", sorted(MIN_CHARGES))
+def test_min_computation_charges_pinned(label, landmarks, value):
+    g = CreditGraph()
+    for u, v in ((0, 1), (1, 2), (2, 3), (10, 11)):
+        bi_link(g, u, v)
+    embs = build_embeddings(g, list(landmarks), 7)
+    ex = make_executor(parse_policy(label))
+    rng = random.Random(3)
+    ctx = ex.begin(g, embs, 0, 3, credit(value), rng)
+    out = ex.attempt(g, embs, 0, 3, credit(value), ctx, rng)
+    greedy, structural = MIN_CHARGES[(landmarks, value)]
+    expected = greedy if label.startswith("GE") else structural
+    assert (out.success, out.messages, out.delay) == expected
+    assert out.path_lengths == ([3, 3] if out.success else [])
+    assert g.total_reserved() == 0
+
+
 # ---- max flow -----------------------------------------------------------------------
 
 

@@ -1,10 +1,12 @@
+import dataclasses
 import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pbtsim.baselines import MAX_FLOW_POLICY, GreedyExecutor, parse_policy
-from pbtsim.credit import credit
+from pbtsim.baselines import MAX_FLOW_POLICY, GreedyExecutor, grid_policies, parse_policy
+from pbtsim.credit import SCALE, credit
 from pbtsim.engine import (
     LinkChangeEvent,
     SimParams,
@@ -190,6 +192,17 @@ def test_dynamic_periodic_pays_per_epoch():
     assert all(v >= 3 * edges for v in per_epoch[:-1])  # graph only grows here
 
 
+@pytest.mark.parametrize("payments", [1, 2])
+def test_dynamic_transactions_spanning_no_time_take_one_time_unit_gaps(line_graph, payments):
+    # With no spread between transaction times, the mean gap is one time
+    # unit: a change 100 units later falls in epoch 1 of 100-gap epochs.
+    events = [TransactionEvent(0, credit(1), 0, 2)] * payments
+    events.append(LinkChangeEvent(100 * SCALE, 0, 2, credit(5)))
+    m = run_dynamic(line_graph, events, parse_policy("GE-RAND-OND"), SimParams(epoch=100))
+    assert [e.epoch for e in m.epochs] == [0, 1]
+    assert m.epochs[0].transactions == payments
+
+
 def test_lockstep_oracle_monotone_per_epoch():
     g, txs = desk_workload(tx=250)
     m = run_static(g, txs, parse_policy("GE-RAND-OND"),
@@ -256,3 +269,70 @@ def test_lockstep_oracle_and_audit_output_pinned(mode, label):
     assert all(t.oracle_feasible is not None for t in m.transactions)
     assert any(t.attempts > 1 for t in m.transactions)
     assert (sha256_of(m.transactions), sha256_of(m.epochs)) == PINNED_DIGESTS[(mode, label)]
+
+
+# ---- whole runs on small random workloads -----------------------------------------
+
+
+@st.composite
+def small_workloads(draw):
+    """(nodes, links, events, params) of a run on 4 to 12 nodes, often in several components.
+
+    Links are (u, v, forward, backward) credits, a zero backward credit
+    leaving a one-way link. Events interleave payments, some with unknown
+    endpoints, and link changes that remove, re-create and reweigh links
+    and add nodes 12 to 14.
+    """
+    n = draw(st.integers(4, 12))
+    node = st.integers(0, n - 1)
+    links = draw(st.lists(st.tuples(node, node, st.integers(1, 20), st.integers(0, 20)),
+                          min_size=n, max_size=3 * n))
+    anyone = st.integers(0, 14)
+    time = st.integers(0, 30).map(lambda quarter: quarter * SCALE // 4)
+    endpoint = st.one_of(node, node, node, anyone)
+    payment = st.builds(TransactionEvent, time, st.integers(1, 8 * SCALE), endpoint, endpoint)
+    change = st.builds(LinkChangeEvent, time, anyone, anyone,
+                       st.sampled_from([0, 0, credit(1), credit(5), credit(20)]))
+    events = draw(st.lists(payment, min_size=1, max_size=12))
+    events += [c for c in draw(st.lists(change, max_size=12)) if c.u != c.v]
+    events = sorted(events, key=lambda e: e.time)
+    params = SimParams(
+        trees=draw(st.integers(1, 3)), attempts=draw(st.integers(1, 3)),
+        epoch=draw(st.integers(1, 4)), landmark_mode=draw(st.sampled_from(["degree", "random"])),
+        seed=draw(st.integers(0, 99)), lockstep_oracle=draw(st.booleans()),
+    )
+    return n, links, events, params
+
+
+def records(m):
+    return [t.__dict__ for t in m.transactions], [e.__dict__ for e in m.epochs]
+
+
+# Two components whose top-degree nodes 1 and 10 become the landmarks: every
+# payment between 0 and 2 meets an unattached peer landmark under MUL.
+@example(
+    (5, [(0, 1, 5, 5), (1, 2, 5, 5), (1, 3, 5, 5), (10, 11, 5, 5), (10, 4, 5, 5)],
+     [TransactionEvent(0, credit(1), 0, 2), LinkChangeEvent(SCALE, 2, 0, credit(3)),
+      TransactionEvent(4 * SCALE, credit(2), 2, 0)],
+     SimParams(trees=2, attempts=2, epoch=2, seed=1)),
+)
+@settings(max_examples=100, deadline=None)
+@given(workload=small_workloads())
+def test_whole_random_runs_match_with_audit_on_and_off(workload):
+    # A broken ledger or tree invariant, or a failed audit, raises InternalError.
+    n, links, events, params = workload
+    g = CreditGraph()
+    for v in range(n):
+        g.add_node(v)
+    for u, v, forward, backward in links:
+        if u != v:
+            g.set_link(u, v, credit(forward))
+            g.set_link(v, u, credit(backward))
+    payments = [e for e in events if isinstance(e, TransactionEvent)]
+    before = graph_state(g)
+    for policy in grid_policies() + [MAX_FLOW_POLICY]:
+        for run, evs in ((run_static, payments), (run_dynamic, events)):
+            plain = run(g, evs, policy, params)
+            audited = run(g, evs, policy, dataclasses.replace(params, audit=True))
+            assert records(audited) == records(plain), (policy.label, run.__name__)
+            assert graph_state(g) == before

@@ -1,5 +1,5 @@
-"""Source guards: the package imports only the standard library, and one
-loop writes the credit ledger."""
+"""Source guards: the package imports only the standard library, one loop
+writes the credit ledger, and one function runs the landmarks' min computation."""
 
 import ast
 import pathlib
@@ -34,28 +34,45 @@ def test_package_imports_only_the_standard_library():
 LEDGER_WRITES = {"reserve", "release", "commit_payment"}
 
 
-def ledger_writers(path):
-    """(line, enclosing function) of every call of a ledger-writing method name."""
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from visit(child, child.name if function is None else function)
-                continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr in LEDGER_WRITES):
-                yield child.lineno, function
-            yield from visit(child, function)
+def callers(path, names):
+    """(line, enclosing function) of every call of one of the names.
 
-    yield from visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), None)
+    The enclosing function is the outermost one, prefixed with its class
+    for a method; a call outside any function has None.
+    """
+    def visit(node, scope, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and function is None:
+                yield from visit(child, f"{child.name}.", None)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, scope, function or scope + child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                if getattr(callee, "attr", getattr(callee, "id", None)) in names:
+                    yield child.lineno, function
+            yield from visit(child, scope, function)
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "", None)
 
 
 def test_only_settle_reserves_releases_or_commits():
     calls = [
         (path.name, function, line)
         for path in SOURCES
-        for line, function in ledger_writers(path)
+        for line, function in callers(path, LEDGER_WRITES)
     ]
     assert {(name, function) for name, function, _ in calls} == {("routing.py", "settle")}
+
+
+def test_only_landmark_min_runs_the_min_computation():
+    calls = [
+        (path.name, function)
+        for path in SOURCES
+        for _, function in callers(path, {"mpc_min_assign"})
+    ]
+    assert calls == [("baselines.py", "_landmark_min")]
 
 
 def test_ledger_guard_names_the_enclosing_function(tmp_path):
@@ -67,10 +84,22 @@ def test_ledger_guard_names_the_enclosing_function(tmp_path):
         "        g.release(0, 1, 2)\n"
         "    return g.commit_payment([], 1) or g.weight(0, 1)\n"
     )
-    assert list(ledger_writers(source)) == [(1, None), (4, "f"), (5, "f")]
+    assert list(callers(source, LEDGER_WRITES)) == [(1, None), (4, "f"), (5, "f")]
 
 
 def test_guard_sees_a_third_party_import(tmp_path):
     source = tmp_path / "mod.py"
     source.write_text("import os\nfrom networkx import DiGraph\nfrom . import graph\n")
     assert list(absolute_imports(source)) == [(1, "os"), (2, "networkx")]
+
+
+def test_call_guard_names_the_method_and_plain_calls(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "class A:\n"
+        "    def attempt(self):\n"
+        "        return mpc_min_assign()\n"
+        "def f():\n"
+        "    return x.mpc_min_assign(), mpc_min_assign\n"
+    )
+    assert list(callers(source, {"mpc_min_assign"})) == [(3, "A.attempt"), (5, "f")]
