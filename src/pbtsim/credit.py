@@ -30,6 +30,14 @@ def credit(amount: int | str | float) -> int:
 
 def parse_credit(text: str, line: int | None = None) -> int:
     """Parse a decimal string of ASCII digits, at most 6 after the point, into micro-units."""
+    # Fast path for the canonical forms `d+` and `d+.d{1,6}`; every other
+    # text, valid or not, takes the general path below.
+    if text.isdigit() and text.isascii():
+        return int(text) * SCALE
+    whole, dot, frac = text.partition(".")
+    if dot and 0 < len(frac) <= FRACTION_DIGITS and whole.isdigit() and frac.isdigit() \
+            and text.isascii():
+        return int(whole) * SCALE + int(frac.ljust(FRACTION_DIGITS, "0"))
     text = text.strip()
     negative = text.startswith("-")
     body = text[1:] if negative or text.startswith("+") else text
@@ -45,6 +53,8 @@ def parse_credit(text: str, line: int | None = None) -> int:
 
 def parse_int(text: str, what: str, line: int | None = None) -> int:
     """Parse a nonnegative integer of ASCII digits; `what` names it in the error."""
+    if text.isdigit() and text.isascii():
+        return int(text)
     text = text.strip()
     if not (text.isascii() and text.isdigit()):
         raise ParseError(f"{what} must be an integer, got {text!r}", line)

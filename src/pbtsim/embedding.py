@@ -294,10 +294,13 @@ def build_embeddings(
     """Construct one spanning tree per landmark with two-phase BFS.
 
     Phase one grows the tree along links with positive weight in both
-    directions only. Once that frontier is exhausted, every attached node
-    is re-enqueued and remaining nodes may join through a link with weight
-    in at least one direction (zero-zero pairs cannot exist in the graph).
-    Nodes with no usable connection to any landmark stay unattached.
+    directions only. Once that frontier is exhausted, phase two re-enqueues,
+    in ascending id, the attached nodes that skipped a one-way neighbor, and
+    remaining nodes may join through a link with weight in at least one
+    direction (zero-zero pairs cannot exist in the graph). Every other
+    attached node had all its neighbors attached when phase one scanned
+    it, so re-scanning it would attach nothing and draw nothing. Nodes with
+    no usable connection to any landmark stay unattached.
     """
     embeddings = []
     for i, lm in enumerate(landmarks):
@@ -307,17 +310,19 @@ def build_embeddings(
         emb = Embedding(i, lm, element_bits)
         queue = deque([lm])
         bi = True
+        skipped: set[NodeId] = set()
         while queue:
             node = queue.popleft()
             for n in g.sorted_neighbors(node):
                 if n in emb.coord:
                     continue
                 if bi and not g.bidirectional(node, n):
+                    skipped.add(node)
                     continue
                 emb.attach(n, node, rng.getrandbits(element_bits))
                 queue.append(n)
             if not queue and bi:
                 bi = False
-                queue.extend(sorted(emb.coord))
+                queue.extend(sorted(skipped))
         embeddings.append(emb)
     return embeddings

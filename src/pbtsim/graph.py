@@ -18,16 +18,18 @@ from __future__ import annotations
 import heapq
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, InternalError
 
 NodeId = int
 
 
-@dataclass(frozen=True)
-class LinkDelta:
-    """One directed weight change: w(u, v) went from old to new."""
+class LinkDelta(NamedTuple):
+    """One directed weight change: w(u, v) went from old to new.
+
+    A named tuple, so it compares equal to the plain tuple (u, v, old, new).
+    """
 
     u: NodeId
     v: NodeId

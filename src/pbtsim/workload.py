@@ -182,13 +182,19 @@ def serialize_link_changes(changes: list[LinkChangeEvent]) -> str:
 
 
 def build_graph(snapshot: SnapshotFile) -> CreditGraph:
-    """Materialize a credit graph; zero-weight rows add nodes but no links."""
+    """Materialize a credit graph; zero-weight rows add nodes but no links.
+
+    Rows go straight to the graph's weight write, the one `set_link` uses:
+    the graph holds no reservations yet, and nobody keeps the deltas.
+    """
     g = CreditGraph()
+    add_node, set_weight = g.add_node, g._set_weight
     for r in snapshot.records:
-        g.add_node(r.u)
-        g.add_node(r.v)
-        if r.weight > 0 and r.u != r.v:
-            g.set_link(r.u, r.v, r.weight)
+        u, v, weight = r.u, r.v, r.weight
+        add_node(u)
+        add_node(v)
+        if weight > 0 and u != v:
+            set_weight(u, v, weight)
     return g
 
 

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import os
 
 import pytest
 
+import pbtsim.cli as cli
 import pbtsim.engine as engine
 from pbtsim.baselines import grid_policies
 from pbtsim.cli import main
@@ -390,6 +392,73 @@ def test_dynamic_mode_with_link_changes(workload, tmp_path):
     ])
     assert code == 0
     assert (out / "summary.csv").exists()
+
+
+# ---- the collector pause of `pbtsim run` -------------------------------------------
+
+
+def payments_workload(root, payments):
+    """An 80-node graph, `payments` payments, and one link removal per payment."""
+    snap, txs, changes = root / "s.csv", root / "t.csv", root / "c.csv"
+    assert main(["generate", "--nodes", "80", "--tx-count", str(payments), "--seed", "4",
+                 "--snapshot-out", str(snap), "--transactions-out", str(txs)]) == 0
+    links = [line.split(",")[:2] for line in snap.read_text().splitlines()[1:]]
+    changes.write_text("time,u,v,new_weight\n" + "".join(
+        f"{i}.5,{u},{v},0\n" for i, (u, v) in enumerate(links[:payments])))
+    return snap, txs, changes
+
+
+def garbage_left_by_run(root, policy, mode, payments):
+    """Unreachable objects a collector-off `pbtsim run` leaves for the next collection."""
+    snap, txs, changes = payments_workload(root, payments)
+    args = ["run", "--mode", mode, "--policy", policy, "--snapshot", str(snap),
+            "--transactions", str(txs), "--out", str(root / "out"), "--seed", "1"]
+    if mode == "dynamic":
+        args += ["--link-changes", str(changes)]
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(args) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("policy,mode", [
+    ("GE-RAND-OND", "static"), ("LM-MUL-PER", "static"), ("GE-RAND-OND", "dynamic")])
+def test_run_garbage_does_not_grow_with_payments(tmp_path, policy, mode):
+    """The paused collector is safe: reference counting frees what the payments make."""
+    few, many = tmp_path / "few", tmp_path / "many"
+    few.mkdir()
+    many.mkdir()
+    assert garbage_left_by_run(many, policy, mode, 200) <= \
+        garbage_left_by_run(few, policy, mode, 20)
+
+
+def test_run_pauses_the_collector_and_restores_the_callers_setting(
+        small_workload, tmp_path, monkeypatch, capsys):
+    seen = []
+    run_static = cli.run_static
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return run_static(*args)
+
+    monkeypatch.setattr(cli, "run_static", spy)
+    assert gc.isenabled()
+    assert main(run_args(small_workload, tmp_path / "ok")) == 0
+    assert gc.isenabled() and seen == [False, False]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("u,v,weight\n0,1,x\n")
+    assert main(run_args((bad, small_workload[1]), tmp_path / "bad")) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert main(run_args(small_workload, tmp_path / "off")) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 # c10 golden outputs: sha256 over the name and bytes of every file `pbtsim run`

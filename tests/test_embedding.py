@@ -1,9 +1,12 @@
 import random
 from collections import deque
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pbtsim.embedding as embedding
 from pbtsim.credit import credit
 from pbtsim.embedding import (
     Embedding,
@@ -268,3 +271,99 @@ def test_undo_journal_round_trip():
     assert dict(emb.parent) == state[0]
     assert dict(emb.coord) == state[1]
     assert dict(emb.prev_coord) == state[2]
+
+
+# ---- phase two and liveness over graphs with one-way links ----------------------
+
+
+@st.composite
+def mixed_graphs(draw):
+    """Small graphs, often in several components, mixing two-way and one-way links."""
+    n = draw(st.integers(2, 14))
+    g = CreditGraph()
+    for v in range(n):
+        g.add_node(v)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.sampled_from(["both", "forward", "backward"])),
+                          max_size=3 * n))
+    for u, v, kind in pairs:
+        if u == v:
+            continue
+        if kind != "backward":
+            g.set_link(u, v, credit(draw(st.integers(1, 9))))
+        if kind != "forward":
+            g.set_link(v, u, credit(draw(st.integers(1, 9))))
+    landmarks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    return g, landmarks
+
+
+class RecordingRandom(random.Random):
+    """A Random that logs every getrandbits result."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def getrandbits(self, k):
+        value = super().getrandbits(k)
+        self.draws.append(value)
+        return value
+
+
+def all_nodes_phase_two_reference(g, landmarks, seed, element_bits):
+    """The two-phase build that re-enqueues every attached node for phase two.
+
+    Returns the trees and each tree's random draws.
+    """
+    embeddings, draws = [], []
+    for i, lm in enumerate(landmarks):
+        rng = RecordingRandom(derive_seed(seed, f"tree:{i}"))
+        emb = Embedding(i, lm, element_bits)
+        queue = deque([lm])
+        bi = True
+        while queue:
+            node = queue.popleft()
+            for n in g.sorted_neighbors(node):
+                if n in emb.coord:
+                    continue
+                if bi and not g.bidirectional(node, n):
+                    continue
+                emb.attach(n, node, rng.getrandbits(element_bits))
+                queue.append(n)
+            if not queue and bi:
+                bi = False
+                queue.extend(sorted(emb.coord))
+        embeddings.append(emb)
+        draws.append(rng.draws)
+    return embeddings, draws
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_graphs(), st.integers(0, 2**32), st.sampled_from([8, 128]))
+def test_phase_two_rescans_only_nodes_that_skipped_a_neighbor(graph, seed, element_bits):
+    """Same parents, coordinates and random draws per tree as the all-nodes phase two."""
+    g, landmarks = graph
+    made = []
+
+    def recording(seed):
+        made.append(RecordingRandom(seed))
+        return made[-1]
+
+    with mock.patch.object(embedding, "random", SimpleNamespace(Random=recording)):
+        built = build_embeddings(g, landmarks, seed, element_bits)
+    reference, reference_draws = all_nodes_phase_two_reference(g, landmarks, seed, element_bits)
+    assert [rng.draws for rng in made] == reference_draws
+    for emb, ref in zip(built, reference, strict=True):
+        assert emb.parent == ref.parent
+        assert emb.coord == ref.coord
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_graphs(), st.integers(0, 2**32))
+def test_build_attaches_every_node_weakly_connected_to_the_landmark(graph, seed):
+    g, landmarks = graph
+    components = g.components()
+    for emb in build_embeddings(g, landmarks, seed, element_bits=16):
+        emb.check_invariants()
+        component = next(c for c in components if emb.landmark in c)
+        assert set(emb.coord) == component
