@@ -241,7 +241,7 @@ def max_flow(
         scanned = 0
         while queue and not found:
             cur = queue.popleft()
-            for n in g.sorted_neighbors(cur):
+            for n in g.neighbors(cur):
                 scanned += 1
                 if n in parent:
                     continue

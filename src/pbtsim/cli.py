@@ -181,9 +181,11 @@ class _RunOptions:
             addr_overhead=self.addr_overhead,
         )
 
-    def fingerprint(self, workload_bytes: bytes) -> str:
+    def fingerprint(self, *texts: str) -> str:
+        """Hash of the input texts, one after another, and the run options."""
         h = hashlib.sha256()
-        h.update(workload_bytes)
+        for text in texts:
+            h.update(text.encode())
         config = (
             f"mode={self.mode};attempts={self.attempts};epoch={self.epoch};"
             f"tl={self.tl};landmarks={self.landmarks};runs={self.runs};"
@@ -247,7 +249,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     """`pbtsim run`, with the cyclic garbage collector paused throughout.
 
     Set-up builds hundreds of thousands of long-lived containers (links,
-    adjacency sets, tree coordinates), and each full collection walks all of
+    neighbor lists, tree coordinates), and each full collection walks all of
     them again while finding nothing to free; at crawl size (67k nodes) that
     was about a fifth of set-up time. Reference counting still frees
     everything else, because the simulator makes no reference cycles that
@@ -269,24 +271,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     opts = _RunOptions(args)
-    snapshot_text = _read_text(opts.snapshot)
-    tx_text = _read_text(opts.transactions)
-    changes_text = _read_text(opts.link_changes) if opts.link_changes else None
+    texts = [_read_text(opts.snapshot), _read_text(opts.transactions)]
+    if opts.link_changes:
+        texts.append(_read_text(opts.link_changes))
+    fingerprint = opts.fingerprint(*texts)
+    # Nothing holds the texts or the parsed snapshot once these exist.
+    g = build_graph(parse_snapshot(texts[0]))
+    pool = parse_transactions(texts[1])
+    changes = parse_link_changes(texts[2], reject_self_links=True) if len(texts) > 2 else []
+    del texts
 
-    snapshot = parse_snapshot(snapshot_text)
-    pool = parse_transactions(tx_text)
-    changes = (
-        parse_link_changes(changes_text, reject_self_links=True)
-        if changes_text is not None
-        else []
-    )
-
-    workload_bytes = snapshot_text.encode() + tx_text.encode() + (
-        changes_text.encode() if changes_text is not None else b""
-    )
-    fingerprint = opts.fingerprint(workload_bytes)
-
-    g = build_graph(snapshot)
     if opts.feasible_only:
         pool = [t for t in pool if t.src in g.nodes and t.dst in g.nodes
                 and flow_feasible(g, t.src, t.dst, t.value)]

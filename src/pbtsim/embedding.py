@@ -217,7 +217,7 @@ class Embedding:
         parent = self.parent
         out = [root]
         for node in out:  # grows while it is read: a breadth-first queue
-            for n in g.sorted_neighbors(node):
+            for n in g.neighbors(node):
                 if parent.get(n) == node:
                     out.append(n)
         return out
@@ -313,7 +313,7 @@ def build_embeddings(
         skipped: set[NodeId] = set()
         while queue:
             node = queue.popleft()
-            for n in g.sorted_neighbors(node):
+            for n in g.neighbors(node):
                 if n in emb.coord:
                     continue
                 if bi and not g.bidirectional(node, n):

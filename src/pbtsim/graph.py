@@ -11,13 +11,18 @@ Link-pair lifetime rule: a directed entry exists only while its weight is
 positive, and a node pair stays adjacent only while at least one direction
 has positive weight. Links with zero weight in both directions serve no
 purpose and are pruned.
+
+Adjacency rule: one map holds every node's neighbors as a list sorted by id.
+A list is replaced, never mutated, when its node gains or loses a neighbor,
+so a reader holding a list can tell a change by its identity.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections.abc import Iterable
+from bisect import insort
+from collections.abc import Iterable, KeysView
 from typing import NamedTuple
 
 from .errors import ConfigError, InternalError
@@ -40,36 +45,46 @@ class LinkDelta(NamedTuple):
 class CreditGraph:
     """Mutable credit graph over integer micro-unit weights.
 
-    Single-writer: the simulation engine serializes all mutations. Clones
-    are fully independent and may be used in parallel runs.
+    ``_adj`` maps each node, in order of first appearance, to its neighbor
+    list (the module's adjacency rule). Single-writer: the simulation engine
+    serializes all mutations. Clones are fully independent and may be used
+    in parallel runs.
     """
 
     def __init__(self) -> None:
-        self.nodes: set[NodeId] = set()
         # (u, v) -> [weight, reserved]; entry exists iff weight > 0
         self._links: dict[tuple[NodeId, NodeId], list[int]] = {}
-        self._adj: dict[NodeId, set[NodeId]] = {}
-        # Sorted-adjacency cache for deterministic hot loops; entries are
-        # invalidated whenever a node's neighbor set changes.
-        self._sorted_adj: dict[NodeId, list[NodeId]] = {}
+        self._adj: dict[NodeId, list[NodeId]] = {}
+
+    @classmethod
+    def from_weights(cls, nodes: Iterable[NodeId], weights: dict[tuple[NodeId, NodeId], int]) -> CreditGraph:
+        """The graph of these nodes, in order, and positive non-self weights
+        between them; the neighbor lists come from one pass over the links."""
+        g = cls()
+        links = g._links = {key: [w, 0] for key, w in weights.items()}
+        adj = g._adj = {v: [] for v in nodes}
+        for u, v in links:
+            if u < v or (v, u) not in links:
+                adj[u].append(v)
+                adj[v].append(u)
+        for ns in adj.values():
+            ns.sort()
+        return g
 
     # ---- basic structure ------------------------------------------------
 
+    @property
+    def nodes(self) -> KeysView[NodeId]:
+        """Every node, in order of first appearance (a read-only view)."""
+        return self._adj.keys()
+
     def add_node(self, v: NodeId) -> None:
-        if v not in self.nodes:
-            self.nodes.add(v)
-            self._adj[v] = set()
+        if v not in self._adj:
+            self._adj[v] = []
 
-    def neighbors(self, v: NodeId) -> set[NodeId]:
-        """Nodes adjacent to v through a link in either direction."""
+    def neighbors(self, v: NodeId) -> list[NodeId]:
+        """Nodes adjacent to v through a link in either direction, ascending."""
         return self._adj[v]
-
-    def sorted_neighbors(self, v: NodeId) -> list[NodeId]:
-        """Neighbors in ascending id; cached until the neighbor set changes."""
-        cached = self._sorted_adj.get(v)
-        if cached is None:
-            cached = self._sorted_adj[v] = sorted(self._adj[v])
-        return cached
 
     def degree(self, v: NodeId) -> int:
         return len(self._adj[v])
@@ -124,11 +139,8 @@ class CreditGraph:
         if w > 0:
             if entry is None:
                 self._links[key] = [w, 0]
-                if v not in self._adj[u]:
-                    self._adj[u].add(v)
-                    self._adj[v].add(u)
-                    self._sorted_adj.pop(u, None)
-                    self._sorted_adj.pop(v, None)
+                if (v, u) not in self._links:
+                    self._replace_neighbors(u, v, insort)
             else:
                 entry[0] = w
                 if clamp and entry[1] > w:
@@ -138,10 +150,15 @@ class CreditGraph:
         elif entry is not None:
             del self._links[key]
             if (v, u) not in self._links:
-                self._adj[u].discard(v)
-                self._adj[v].discard(u)
-                self._sorted_adj.pop(u, None)
-                self._sorted_adj.pop(v, None)
+                self._replace_neighbors(u, v, list.remove)
+
+    def _replace_neighbors(self, u: NodeId, v: NodeId, edit) -> None:
+        """Give u and v new neighbor lists: copies with the other end inserted or removed."""
+        adj = self._adj
+        for x, y in ((u, v), (v, u)):
+            ns = adj[x].copy()
+            edit(ns, y)
+            adj[x] = ns
 
     def reserve(self, u: NodeId, v: NodeId, c: int) -> bool:
         """Reserve c on (u, v); False (state unchanged) when w_A < c."""
@@ -197,9 +214,7 @@ class CreditGraph:
     # ---- derived quantities ----------------------------------------------
 
     def net_balance(self, v: NodeId) -> int:
-        """Incoming minus outgoing weight; signed micro-units."""
-        if v not in self.nodes:
-            raise KeyError(f"unknown node {v}")
+        """Incoming minus outgoing weight; signed micro-units (KeyError for an unknown node)."""
         return sum(self.weight(n, v) - self.weight(v, n) for n in self._adj[v])
 
     def total_reserved(self) -> int:
@@ -253,23 +268,19 @@ class CreditGraph:
 
     def clone(self) -> CreditGraph:
         g = CreditGraph()
-        g.nodes = set(self.nodes)
         g._links = {k: entry.copy() for k, entry in self._links.items()}
-        g._adj = {v: set(ns) for v, ns in self._adj.items()}
-        # Cached lists are replaced, never mutated, so sharing them is safe.
-        g._sorted_adj = dict(self._sorted_adj)
+        # Neighbor lists are replaced, never mutated, so sharing them is safe.
+        g._adj = dict(self._adj)
         return g
 
     def check_invariants(self) -> None:
-        """Raise InternalError on any ledger or pruning violation (test aid)."""
+        """Raise InternalError on any ledger, pruning or adjacency violation (test aid)."""
         for (u, v), (w, r) in self._links.items():
             if w <= 0:
                 raise InternalError(f"zero-weight entry persists on ({u}, {v})")
             if r < 0 or r > w:
                 raise InternalError(f"reservation {r} out of range on ({u}, {v}) weight {w}")
-            if v not in self._adj[u] or u not in self._adj[v]:
-                raise InternalError(f"adjacency missing for ({u}, {v})")
-        for v, ns in self._adj.items():
-            for n in ns:
-                if (v, n) not in self._links and (n, v) not in self._links:
-                    raise InternalError(f"stale adjacency {v}-{n}")
+            if u not in self._adj or v not in self._adj:
+                raise InternalError(f"link ({u}, {v}) has an unknown endpoint")
+        if CreditGraph.from_weights(self._adj, dict.fromkeys(self._links, 1))._adj != self._adj:
+            raise InternalError("neighbor lists differ from the links")

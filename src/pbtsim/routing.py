@@ -26,7 +26,7 @@ a path-compressed trie over the coordinates of the node's graph neighbors
 (``build_neighbor_index``), built the first time a walk reaches the node.
 The target coordinate is walked down the trie, and only the neighbors that
 can be closer than the current node are visited, nearest rings first. An
-index is valid while the graph returns the same ``sorted_neighbors`` list
+index is valid while the graph returns the same ``neighbors`` list
 object it was built from (the graph replaces that list whenever the
 neighbor set changes) and no neighbor's coordinate has changed: the
 embedding records every node it attaches, detaches or rolls back in
@@ -172,7 +172,7 @@ def next_hop(
     members within the bound only.
 
     The index of a node is built when a walk first reaches it and holds the
-    ``g.sorted_neighbors`` list it was built from; it is rebuilt when the
+    ``g.neighbors`` list it was built from; it is rebuilt when the
     graph returns another list (the neighbor set changed). ``Embedding``
     marks every node whose coordinate changes as moved while some index
     exists, and the indexes of moved nodes and their neighbors are dropped
@@ -184,7 +184,7 @@ def next_hop(
         return None
     if emb.moved:
         _drop_moved(g, emb)
-    nbrs = g.sorted_neighbors(current)
+    nbrs = g.neighbors(current)
     index = emb.neighbor_index
     entry = index.get(current)
     if entry is None or entry[0] is not nbrs:

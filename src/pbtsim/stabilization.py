@@ -47,7 +47,7 @@ def choose_parent(
     prev = emb.prev_coord.get(n)
     bidi: list[NodeId] = []
     uni: list[NodeId] = []
-    for cand in g.sorted_neighbors(n):
+    for cand in g.neighbors(n):
         coord = emb.coord.get(cand)
         if coord is None:
             continue
@@ -127,7 +127,7 @@ def _repair(
             del pending[node]
             # A fresh coordinate may unblock detached neighbors that were
             # waiting on an earlier event.
-            for nb in g.sorted_neighbors(node):
+            for nb in g.neighbors(node):
                 if not emb.attached(nb) and nb not in pending:
                     pending[nb] = None
     return StabilizationReport(emb.tree_index, reset, reassigned, messages)

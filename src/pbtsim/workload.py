@@ -34,14 +34,14 @@ import math
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .credit import SCALE, format_credit, parse_credit, parse_int
 from .errors import ConfigError, ParseError
 from .graph import CreditGraph, NodeId
 
 
-@dataclass(frozen=True)
-class LinkRecord:
+class LinkRecord(NamedTuple):
     u: NodeId
     v: NodeId
     weight: int
@@ -182,20 +182,15 @@ def serialize_link_changes(changes: list[LinkChangeEvent]) -> str:
 
 
 def build_graph(snapshot: SnapshotFile) -> CreditGraph:
-    """Materialize a credit graph; zero-weight rows add nodes but no links.
-
-    Rows go straight to the graph's weight write, the one `set_link` uses:
-    the graph holds no reservations yet, and nobody keeps the deltas.
-    """
-    g = CreditGraph()
-    add_node, set_weight = g.add_node, g._set_weight
-    for r in snapshot.records:
-        u, v, weight = r.u, r.v, r.weight
-        add_node(u)
-        add_node(v)
+    """Materialize a credit graph: nodes in order of first appearance and,
+    per non-self pair, its last positive weight (zero rows add only nodes)."""
+    nodes: dict[NodeId, None] = {}
+    weights: dict[tuple[NodeId, NodeId], int] = {}
+    for u, v, weight, _ in snapshot.records:
+        nodes[u] = nodes[v] = None
         if weight > 0 and u != v:
-            set_weight(u, v, weight)
-    return g
+            weights[u, v] = weight
+    return CreditGraph.from_weights(nodes, weights)
 
 
 # ---- preprocessing ---------------------------------------------------------------

@@ -273,7 +273,7 @@ def _burst_events(g, seed):
     leaves = [v for v in snap_nodes if g.degree(v) <= 2]
     for i, t in enumerate(range(0, 2000, 25)):
         leaf = leaves[rnd.randrange(len(leaves))]
-        nb = g.sorted_neighbors(leaf)[0]
+        nb = g.neighbors(leaf)[0]
         w = g.weight(nb, leaf) or credit(5)
         events.append(LinkChangeEvent(t * step + 1, nb, leaf, 0))
         events.append(LinkChangeEvent(t * step + 2, nb, leaf, w))

@@ -323,7 +323,7 @@ def all_nodes_phase_two_reference(g, landmarks, seed, element_bits):
         bi = True
         while queue:
             node = queue.popleft()
-            for n in g.sorted_neighbors(node):
+            for n in g.neighbors(node):
                 if n in emb.coord:
                     continue
                 if bi and not g.bidirectional(node, n):

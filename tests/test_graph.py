@@ -7,7 +7,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from pbtsim.credit import credit
 from pbtsim.errors import ConfigError, InternalError
 from pbtsim.graph import CreditGraph
-from pbtsim.workload import LinkRecord, SnapshotFile, preprocess
+from pbtsim.workload import LinkRecord, SnapshotFile, build_graph, preprocess
 
 from conftest import random_graph
 
@@ -286,19 +286,18 @@ def test_clone_is_independent(line_graph):
     line_graph.check_invariants()
 
 
-def test_clone_keeps_sorted_cache_independent(line_graph):
-    before = {v: list(line_graph.sorted_neighbors(v)) for v in line_graph.nodes}
+def test_clone_shares_neighbor_lists_until_a_change(line_graph):
+    before = {v: list(line_graph.neighbors(v)) for v in line_graph.nodes}
     g2 = line_graph.clone()
-    assert g2._sorted_adj == line_graph._sorted_adj  # copied, not rebuilt
+    assert all(g2.neighbors(v) is line_graph.neighbors(v) for v in line_graph.nodes)  # shared
     g2.set_link(0, 2, credit(1))
     g2.set_link(1, 2, 0)
     g2.set_link(2, 1, 0)
-    assert g2.sorted_neighbors(0) == [1, 2]
-    assert g2.sorted_neighbors(2) == [0]
-    assert {v: line_graph.sorted_neighbors(v) for v in line_graph.nodes} == before
+    assert g2.neighbors(0) == [1, 2]
+    assert g2.neighbors(2) == [0]
+    assert {v: line_graph.neighbors(v) for v in line_graph.nodes} == before
     line_graph.check_invariants()
-
-
+    g2.check_invariants()
 def test_rollback_weights_restores_exactly():
     g = random_graph(8, 5, seed=2)
     snapshot = {k: list(v) for k, v in g._links.items()}
@@ -409,3 +408,50 @@ class LedgerMachine(RuleBasedStateMachine):
 
 TestLedgerConservation = LedgerMachine.TestCase
 TestLedgerConservation.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from([0, 0, 1, 4])),
+                      max_size=40))
+def test_neighbor_lists_follow_the_links(steps):
+    """After each set_link (removals to zero both ways, re-creations, joins of
+    new ids): neighbors(v) lists, ascending, the nodes sharing a positive link
+    with v in either direction, and a list read before the change is not
+    mutated; it is still the current list exactly when v's neighbors stayed."""
+    g = CreditGraph()
+    for u, v, units in steps:
+        if u == v:
+            continue
+        held = {x: (g.neighbors(x), list(g.neighbors(x))) for x in g.nodes}
+        g.set_link(u, v, credit(units))
+        for x, (ns, copy) in held.items():
+            assert ns == copy
+            assert (g.neighbors(x) is ns) == (g.neighbors(x) == copy)
+        for x in g.nodes:
+            assert g.neighbors(x) == [y for y in sorted(g.nodes) if g.weight(x, y) or g.weight(y, x)]
+        g.check_invariants()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from([0, 1, 3])),
+                     max_size=30))
+def test_build_graph_equals_a_set_link_build(rows):
+    """Same links in the same order, the same node order and the same lists
+    as adding each row's nodes and setting its positive non-self weight."""
+    g = build_graph(SnapshotFile([LinkRecord(u, v, credit(w)) for u, v, w in rows]))
+    ref = CreditGraph()
+    for u, v, w in rows:
+        ref.add_node(u)
+        ref.add_node(v)
+        if w and u != v:
+            ref.set_link(u, v, credit(w))
+    assert list(g._links.items()) == list(ref._links.items())
+    assert list(g.nodes) == list(ref.nodes)
+    assert g._adj == ref._adj
+    g.check_invariants()
+
+
+def test_check_invariants_catches_a_stale_neighbor_list(line_graph):
+    line_graph._adj[0] = [1, 2]
+    with pytest.raises(InternalError):
+        line_graph.check_invariants()

@@ -1,5 +1,6 @@
 """Source guards: the package imports only the standard library, one loop
-writes the credit ledger, and one function runs the landmarks' min computation."""
+writes the credit ledger, only the graph writes link weights, and one
+function runs the landmarks' min computation."""
 
 import ast
 import pathlib
@@ -64,6 +65,14 @@ def test_only_settle_reserves_releases_or_commits():
         for line, function in callers(path, LEDGER_WRITES)
     ]
     assert {(name, function) for name, function, _ in calls} == {("routing.py", "settle")}
+
+
+def test_only_the_graph_writes_weights_directly():
+    """Everything outside graph.py goes through set_link or from_weights, so
+    the graph alone keeps its neighbor lists in step with its links."""
+    calls = {path.name for path in SOURCES for _ in callers(path, {"_set_weight"})}
+    assert calls == {"graph.py"}
+    assert [path.name for path in SOURCES if "_set_weight" in path.read_text(encoding="utf-8")] == ["graph.py"]
 
 
 def test_only_landmark_min_runs_the_min_computation():

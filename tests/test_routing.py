@@ -138,7 +138,7 @@ def scan_next_hop(g, emb, current, addr, share, rng):
     target = addr.elements
     best_d = coord_distance(cur_coord, target)
     ties = []
-    for n in g.sorted_neighbors(current):
+    for n in g.neighbors(current):
         coord = coords.get(n)
         if coord is None:
             continue
@@ -164,7 +164,7 @@ def reference_next_hop(g, emb, current, addr, share, rng):
         return None
     best_d = address_distance(cur_coord, addr)
     ties = []
-    for n in g.sorted_neighbors(current):
+    for n in g.neighbors(current):
         coord = emb.coord.get(n)
         if coord is None:
             continue
@@ -213,7 +213,7 @@ def assert_indexes_fresh(g, emb):
     list equals a fresh build (call after a next_hop, which drops moved ones)."""
     assert not emb.moved
     for node, (nbrs, trie) in emb.neighbor_index.items():
-        if nbrs is g.sorted_neighbors(node):
+        if nbrs is g.neighbors(node):
             assert trie == build_neighbor_index(emb.coord, nbrs), node
 
 
@@ -259,7 +259,7 @@ def test_next_hop_index_matches_scan_across_changes(seed, element_bits, data):
                 continue
             x = data.draw(st.sampled_from(leaves), label="leaf")
             emb.detach(x)
-            parents = [n for n in g.sorted_neighbors(x) if emb.attached(n)]
+            parents = [n for n in g.neighbors(x) if emb.attached(n)]
             if parents and data.draw(st.booleans(), label="reattach"):
                 emb.attach(x, data.draw(st.sampled_from(parents), label="parent"),
                            rnd.getrandbits(element_bits))

@@ -228,7 +228,7 @@ def test_invariants_and_cost_locality_under_churn():
     nodes = sorted(g.nodes)
     for step in range(300):
         u = nodes[rnd.randrange(len(nodes))]
-        neighbors = g.sorted_neighbors(u)
+        neighbors = g.neighbors(u)
         if neighbors and rnd.random() < 0.5:
             v = neighbors[rnd.randrange(len(neighbors))]
             new = 0 if rnd.random() < 0.4 else credit(rnd.randint(1, 30))

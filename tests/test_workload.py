@@ -89,7 +89,8 @@ def by_time(events):
 FORMATS = {
     "snapshot": (
         parse_snapshot, serialize_snapshot,
-        st.builds(SnapshotFile, up_to_12(LinkRecord, NODE_IDS, NODE_IDS, AMOUNTS)),
+        # No limit column, so no limit: st.builds would fill the default.
+        st.builds(SnapshotFile, up_to_12(LinkRecord, NODE_IDS, NODE_IDS, AMOUNTS, st.none())),
         (0, 1), False),
     "snapshot-limit": (
         parse_snapshot, serialize_snapshot,
