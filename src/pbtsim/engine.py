@@ -25,8 +25,9 @@ The two modes differ only around that lifecycle:
   inter-transaction times by default.
 
 Periodic policies pay one message per tree per undirected edge every
-epoch (the initial build counts as the first rebuild); on-demand policies
-pay only for the repairs their link changes trigger.
+epoch (the initial build counts as the first rebuild; a static run, which
+restores its trees, charges that count every epoch without rebuilding).
+On-demand policies pay only for the repairs their link changes trigger.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ class SimParams:
             raise ConfigError("tl must be nonnegative")
 
 
+def _mean(values: list) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
 @dataclass
 class TxMetric:
     index: int
@@ -100,7 +105,7 @@ class TxMetric:
 
     @property
     def mean_path_length(self) -> float:
-        return sum(self.path_lengths) / len(self.path_lengths) if self.path_lengths else 0.0
+        return _mean(self.path_lengths)
 
 
 @dataclass
@@ -131,36 +136,30 @@ class RunMetrics:
 
     @property
     def epochs(self) -> list[EpochMetric]:
-        """Contiguous epoch list from 0 through the last touched epoch."""
+        """Contiguous epoch list from 0 through the last touched epoch.
+
+        Idle epochs are kept: ``mean_stabilization`` divides by this list,
+        so ``stab_messages`` is a mean per epoch of time, idle ones included.
+        """
         if not self._epochs:
             return []
         last = max(self._epochs)
         return [self._epochs.get(i) or EpochMetric(i) for i in range(last + 1)]
 
     def success_ratio(self) -> float:
-        if not self.transactions:
-            return 0.0
-        return sum(t.success for t in self.transactions) / len(self.transactions)
+        return _mean([t.success for t in self.transactions])
 
     def mean_hop_delay(self) -> float:
-        if not self.transactions:
-            return 0.0
-        return sum(t.hop_delay for t in self.transactions) / len(self.transactions)
+        return _mean([t.hop_delay for t in self.transactions])
 
     def mean_messages(self) -> float:
-        if not self.transactions:
-            return 0.0
-        return sum(t.messages for t in self.transactions) / len(self.transactions)
+        return _mean([t.messages for t in self.transactions])
 
     def mean_path_length(self) -> float:
-        lengths = [h for t in self.transactions if t.success for h in t.path_lengths]
-        return sum(lengths) / len(lengths) if lengths else 0.0
+        return _mean([h for t in self.transactions if t.success for h in t.path_lengths])
 
     def mean_stabilization(self) -> float:
-        epochs = self.epochs
-        if not epochs:
-            return 0.0
-        return sum(e.stabilization_messages for e in epochs) / len(epochs)
+        return _mean([e.stabilization_messages for e in self.epochs])
 
     def summary(self) -> dict[str, float]:
         return {
@@ -222,23 +221,27 @@ def _audit_settlement(ev: TransactionEvent, deltas) -> None:
 
 def _setup(
     g: CreditGraph, policy: RoutingPolicy, params: SimParams
-) -> tuple[list[NodeId], list[Embedding], random.Random, Executor]:
-    """Landmarks, initial trees, the rng and the executor.
+) -> tuple[list[NodeId], list[Embedding], int, random.Random, Executor]:
+    """Landmarks, the first trees, their per-epoch charge, the rng and the executor.
 
-    On-demand policies get their bootstrap trees here; periodic policies
-    build theirs through ``periodic_rebuild``, which charges them. Max-flow
-    routing reads the graph alone, so it gets neither landmarks nor trees.
+    The only place a run's first trees are built, from the bootstrap seed.
+    The charge is trees x undirected edges for a periodic policy, else 0.
+    Max-flow routing reads the graph alone: no landmarks, no trees.
     """
     landmarks: list[NodeId] = []
     embeddings: list[Embedding] = []
+    charge = 0
     if policy.path_rule != "FF":
         landmarks = g.select_landmarks(
             params.trees, params.landmark_mode, derive_seed(params.seed, "landmarks")
         )
-        if policy.on_demand:
-            embeddings = build_embeddings(g, landmarks, derive_seed(params.seed, "bootstrap"))
+        seed = derive_seed(params.seed, "bootstrap")
+        if policy.periodic:
+            embeddings, charge = periodic_rebuild(g, landmarks, seed)
+        else:
+            embeddings = build_embeddings(g, landmarks, seed)
     rng = random.Random(derive_seed(params.seed, "run"))
-    return landmarks, embeddings, rng, make_executor(policy, params.addr_overhead)
+    return landmarks, embeddings, charge, rng, make_executor(policy, params.addr_overhead)
 
 
 @dataclass
@@ -321,26 +324,23 @@ def run_static(
     """Run every transaction against the initial state, restoring after each.
 
     The graph is mutated in place but is returned to its exact initial
-    state (weights and trees) before the function returns. Repair
-    messages triggered by a payment's weight changes are counted before
-    restoration. Transactions whose endpoints are missing (e.g. outside
-    the giant component) fail immediately and count in the denominator.
+    state (weights and trees) after each payment, so the trees ``_setup``
+    builds serve every epoch and a periodic policy is charged at each
+    epoch boundary without rebuilding. Repair messages triggered by a
+    payment's weight changes are counted before restoration. Transactions
+    whose endpoints are missing (e.g. outside the giant component) fail
+    immediately and count in the denominator.
     """
     params.validate()
     if not transactions:
         raise ConfigError("static mode needs a nonempty transaction list")
-    # Periodic policies build their first trees at the first epoch boundary.
-    landmarks, embeddings, rng, executor = _setup(g, policy, params)
+    _, embeddings, charge, rng, executor = _setup(g, policy, params)
     metrics = RunMetrics()
 
     for idx, ev in enumerate(transactions):
-        epoch = idx // params.epoch
-        if policy.periodic and idx % params.epoch == 0:
-            embeddings, msgs = periodic_rebuild(
-                g, landmarks, derive_seed(params.seed, f"rebuild:{epoch}")
-            )
-            metrics.epoch(epoch).stabilization_messages += msgs
-        pay = _Payment(idx, ev, metrics.epoch(epoch))
+        pay = _Payment(idx, ev, metrics.epoch(idx // params.epoch))
+        if idx % params.epoch == 0:
+            pay.epoch.stabilization_messages += charge
         if not _valid_endpoints(g, ev):
             metrics.transactions.append(pay.metric(None))
             continue
@@ -420,8 +420,10 @@ def run_dynamic(
         if b.time < a.time:
             raise ConfigError("events must be sorted by time")
     g = g0.clone()
-    landmarks, embeddings, rng, executor = _setup(g, policy, params)
+    landmarks, embeddings, charge, rng, executor = _setup(g, policy, params)
     metrics = RunMetrics()
+    if policy.periodic:
+        metrics.epoch(0).stabilization_messages += charge
 
     sched = _Schedule.from_events(events, params.epoch)
     tl = params.tl if params.tl is not None else sched.default_tl()
@@ -433,9 +435,6 @@ def run_dynamic(
     next_seq = len(events)
 
     current_epoch = 0
-    if policy.periodic:
-        embeddings, msgs = periodic_rebuild(g, landmarks, derive_seed(params.seed, "bootstrap"))
-        metrics.epoch(0).stabilization_messages += msgs
     tx_index = 0
 
     while heap:

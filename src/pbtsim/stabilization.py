@@ -11,7 +11,8 @@ all neighbors. Nodes that find no eligible parent stay detached and are
 retried whenever a later attachment opens a path.
 
 The periodic alternative rebuilds every tree from scratch and is charged
-one message per tree per undirected edge.
+one message per tree per undirected edge; a static run, whose graph never
+changes, pays that charge every epoch without rebuilding.
 """
 
 from __future__ import annotations

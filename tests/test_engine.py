@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pbtsim import embedding, engine, stabilization
 from pbtsim.baselines import MAX_FLOW_POLICY, GreedyExecutor, grid_policies, parse_policy
 from pbtsim.credit import SCALE, credit
 from pbtsim.engine import (
@@ -77,6 +78,57 @@ def test_periodic_stabilization_constant_per_epoch():
     m = run_static(g, txs, parse_policy("GE-RAND-PER"), SimParams(seed=3, epoch=100, trees=3))
     for e in m.epochs:
         assert e.stabilization_messages == 3 * edges
+
+
+def test_static_runs_build_their_trees_once(monkeypatch):
+    """One build serves every epoch of a static run; a periodic policy is
+    still charged trees x edges at every epoch boundary."""
+    g, txs = desk_workload(tx=300)
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return embedding.build_embeddings(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "build_embeddings", counted)
+    monkeypatch.setattr(stabilization, "build_embeddings", counted)
+    charge = 2 * g.undirected_edge_count()
+    for policy in [*grid_policies(), MAX_FLOW_POLICY]:
+        builds.clear()
+        m = run_static(g, txs, policy, SimParams(seed=3, epoch=100, trees=2))
+        assert len(m.epochs) == 3
+        assert len(builds) == (policy is not MAX_FLOW_POLICY), policy.label
+        if policy.periodic:
+            assert [e.stabilization_messages for e in m.epochs] == [charge] * 3, policy.label
+
+
+def tree_maps(emb):
+    return {name: dict(getattr(emb, name)) for name in ("coord", "parent", "prev_coord")}
+
+
+@pytest.mark.parametrize("label", ["GE-MUL-OND", "LM-MUL-PER"])
+def test_static_rollback_leaves_the_shared_trees_as_built(monkeypatch, label):
+    """Every payment of a static run starts from the trees _setup built, so
+    one build can serve every epoch."""
+    built = []
+
+    def kept(fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            trees = result[0] if isinstance(result, tuple) else result
+            built.extend((emb, tree_maps(emb)) for emb in trees)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(engine, "build_embeddings", kept(engine.build_embeddings))
+    monkeypatch.setattr(engine, "periodic_rebuild", kept(engine.periodic_rebuild))
+    g, txs = desk_workload(tx=300)
+    m = run_static(g, txs, parse_policy(label), SimParams(seed=3, epoch=100, trees=2))
+    assert len(built) == 2
+    if label.endswith("OND"):
+        assert sum(e.stabilization_messages for e in m.epochs) > 0  # repairs fired
+    for emb, maps in built:
+        assert tree_maps(emb) == maps
 
 
 def test_on_demand_stabilization_cheaper_than_periodic():
@@ -201,6 +253,21 @@ def test_dynamic_transactions_spanning_no_time_take_one_time_unit_gaps(line_grap
     m = run_dynamic(line_graph, events, parse_policy("GE-RAND-OND"), SimParams(epoch=100))
     assert [e.epoch for e in m.epochs] == [0, 1]
     assert m.epochs[0].transactions == payments
+
+
+def test_dynamic_idle_epochs_count_in_the_stabilization_mean(line_graph):
+    # A mean gap of two time units: epochs 0 and 1 hold a payment each, the
+    # join at t=6 repairs in epoch 3, and epoch 2 stays idle. The summary's
+    # stab_messages is a mean per epoch of time, so the idle one counts.
+    events = [TransactionEvent(0, credit(1), 0, 2),
+              TransactionEvent(2 * SCALE, credit(1), 0, 2),
+              LinkChangeEvent(6 * SCALE, 2, 9, credit(5))]
+    m = run_dynamic(line_graph, events, parse_policy("GE-RAND-OND"), SimParams(epoch=1))
+    assert [e.epoch for e in m.epochs] == [0, 1, 2, 3]
+    assert [e.transactions for e in m.epochs] == [1, 1, 0, 0]
+    stab = [e.stabilization_messages for e in m.epochs]
+    assert stab[2] == 0 and stab[3] > 0
+    assert m.summary()["stab_messages"] == sum(stab) / 4
 
 
 def test_lockstep_oracle_monotone_per_epoch():

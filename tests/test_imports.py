@@ -1,6 +1,7 @@
 """Source guards: the package imports only the standard library, one loop
-writes the credit ledger, only the graph writes link weights, and one
-function runs the landmarks' min computation."""
+writes the credit ledger, only the graph writes link weights, one
+function runs the landmarks' min computation, and the engine builds a
+run's first trees in one place."""
 
 import ast
 import pathlib
@@ -82,6 +83,14 @@ def test_only_landmark_min_runs_the_min_computation():
         for _, function in callers(path, {"mpc_min_assign"})
     ]
     assert calls == [("baselines.py", "_landmark_min")]
+
+
+def test_only_setup_builds_a_runs_first_trees():
+    """A static run reuses its first trees in every epoch; only a dynamic
+    run, whose graph changes, rebuilds at epoch crossings."""
+    engine = next(path for path in SOURCES if path.name == "engine.py")
+    assert [f for _, f in callers(engine, {"build_embeddings"})] == ["_setup"]
+    assert [f for _, f in callers(engine, {"periodic_rebuild"})] == ["_setup", "run_dynamic"]
 
 
 def test_ledger_guard_names_the_enclosing_function(tmp_path):
