@@ -275,11 +275,14 @@ def _run(args: argparse.Namespace) -> int:
     if opts.link_changes:
         texts.append(_read_text(opts.link_changes))
     fingerprint = opts.fingerprint(*texts)
-    # Nothing holds the texts or the parsed snapshot once these exist.
-    g = build_graph(parse_snapshot(texts[0]))
-    pool = parse_transactions(texts[1])
-    changes = parse_link_changes(texts[2], reject_self_links=True) if len(texts) > 2 else []
-    del texts
+    # One id table for the three files, so each node id is one object in
+    # the graph, the pool and the changes. Nothing holds the texts, the
+    # table or the parsed snapshot once these exist.
+    ids: dict = {}
+    g = build_graph(parse_snapshot(texts[0], ids=ids))
+    pool = parse_transactions(texts[1], ids=ids)
+    changes = parse_link_changes(texts[2], reject_self_links=True, ids=ids) if len(texts) > 2 else []
+    del texts, ids
 
     if opts.feasible_only:
         pool = [t for t in pool if t.src in g.nodes and t.dst in g.nodes
@@ -291,10 +294,13 @@ def _run(args: argparse.Namespace) -> int:
     if opts.mode == "static" and (not pool or opts.sample == 0):
         raise ConfigError("static mode needs a nonempty transaction list")
     # Every count of the sweep is >= 1, so the first one validates them all.
-    opts.params(opts.trees[0], 0).validate()
+    lo, hi = opts.trees[0], opts.trees[-1]
+    opts.params(lo, 0).validate()
+    # FF builds no trees and ignores a single count, but a sweep is bounded
+    # for every policy: its counts label the summary rows and the config line.
     n = len(g.nodes)
-    if opts.policy.path_rule != "FF" and opts.trees[-1] > n:
-        raise ConfigError(f"cannot select {max(opts.trees[0], n + 1)} landmarks from {n} nodes")
+    if hi > n and (opts.policy.path_rule != "FF" or hi > lo):
+        raise ConfigError(f"cannot select {max(lo, n + 1)} landmarks from {n} nodes")
 
     _make_dir(opts.out)
     summary_lines = [
@@ -422,9 +428,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    snapshot = parse_snapshot(_read_text(args.snapshot))
-    txs = parse_transactions(_read_text(args.transactions))
-    changes = parse_link_changes(_read_text(args.link_changes)) if args.link_changes else []
+    ids: dict = {}  # one id table for the three files, as in `run`
+    snapshot = parse_snapshot(_read_text(args.snapshot), ids=ids)
+    txs = parse_transactions(_read_text(args.transactions), ids=ids)
+    changes = parse_link_changes(_read_text(args.link_changes), ids=ids) if args.link_changes else []
     result = preprocess(snapshot, txs, changes)
     _make_dir(args.out_dir)
     _atomic_write(os.path.join(args.out_dir, "snapshot.csv"), serialize_snapshot(result.snapshot))

@@ -19,6 +19,14 @@ anything else raises `ParseError` with its line. Parsing and
 serializing round-trip exactly because amounts live in integer
 micro-units and are rendered canonically.
 
+Node ids: one object per node id per command. The three parsers take an
+optional id table (`ids`); a command that reads several files passes
+them one table, so every field naming the same node, in every file,
+parses to the same `int` object, and the graph's adjacency entries, link
+keys and event endpoints compare by identity. Only the objects are
+shared; the values are those `parse_int` gives, so "7", "07" and " 7"
+name one node.
+
 Preprocessing applies the dataset cleaning rules in order: drop invalid
 credit arrangements (weight above the granted limit, only checkable when
 a limit column is present), drop self-entries, restrict to the giant
@@ -113,17 +121,38 @@ def _events(text: str, header: str) -> Iterator[tuple[int, int, list[str]]]:
         yield line, time, fields
 
 
+def _node_id(ids: dict, text: str, line: int) -> NodeId:
+    """The id table's object for a node id field.
+
+    `ids` maps each field text seen, and the canonical text (`str`) of each
+    value parsed, to the one object of that value, so "07" and " 7" find
+    the object of "7". The text is looked up first, so `parse_int` runs
+    once per distinct text; text keys alone keep the table small.
+    """
+    node = ids.get(text)
+    if node is None:
+        value = parse_int(text, "node id", line)
+        node = ids[text] = ids.setdefault(str(value), value)
+    return node
+
+
 def _file(header: str, lines: Iterable[str]) -> str:
     return "\n".join([header, *lines]) + "\n"
 
 
-def parse_snapshot(text: str) -> SnapshotFile:
+def parse_snapshot(text: str, *, ids: dict | None = None) -> SnapshotFile:
     header, rows = _rows(text, *_SNAPSHOT_HEADERS)
     has_limit = header == _SNAPSHOT_HEADERS[1]
+    ids = {} if ids is None else ids
+    node = ids.get  # `_node_id`'s lookup, inlined: most node id fields are here
     records = []
     for line, fields in rows:
-        u = parse_int(fields[0], "node id", line)
-        v = parse_int(fields[1], "node id", line)
+        u = node(fields[0])
+        if u is None:
+            u = _node_id(ids, fields[0], line)
+        v = node(fields[1])
+        if v is None:
+            v = _node_id(ids, fields[1], line)
         weight = parse_credit(fields[2], line)
         limit = parse_credit(fields[3], line) if has_limit else None
         if weight < 0 or (limit is not None and limit < 0):
@@ -141,14 +170,15 @@ def serialize_snapshot(snapshot: SnapshotFile) -> str:
         for r in snapshot.records))
 
 
-def parse_transactions(text: str) -> list[TransactionEvent]:
+def parse_transactions(text: str, *, ids: dict | None = None) -> list[TransactionEvent]:
+    ids = {} if ids is None else ids
     events = []
     for line, time, fields in _events(text, _TRANSACTION_HEADER):
         value = parse_credit(fields[1], line)
         if value < 0:
             raise ParseError("negative value", line)
         events.append(TransactionEvent(
-            time, value, parse_int(fields[2], "node id", line), parse_int(fields[3], "node id", line)))
+            time, value, _node_id(ids, fields[2], line), _node_id(ids, fields[3], line)))
     return events
 
 
@@ -157,19 +187,22 @@ def serialize_transactions(txs: list[TransactionEvent]) -> str:
         f"{format_credit(t.time)},{format_credit(t.value)},{t.src},{t.dst}" for t in txs))
 
 
-def parse_link_changes(text: str, reject_self_links: bool = False) -> list[LinkChangeEvent]:
+def parse_link_changes(
+    text: str, reject_self_links: bool = False, *, ids: dict | None = None
+) -> list[LinkChangeEvent]:
     """Parse a link-change file; with reject_self_links a u == v row is an error.
 
     Raw dataset files may hold self entries for ``preprocess`` to drop (rule
     2); a simulation input may not, since the graph rejects self-links.
     """
+    ids = {} if ids is None else ids
     events = []
     for line, time, fields in _events(text, _LINK_CHANGE_HEADER):
         weight = parse_credit(fields[3], line)
         if weight < 0:
             raise ParseError("negative weight", line)
-        u = parse_int(fields[1], "node id", line)
-        v = parse_int(fields[2], "node id", line)
+        u = _node_id(ids, fields[1], line)
+        v = _node_id(ids, fields[2], line)
         if u == v and reject_self_links:
             raise ParseError(f"self-link {u}->{v}", line)
         events.append(LinkChangeEvent(time, u, v, weight))

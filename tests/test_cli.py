@@ -1,6 +1,9 @@
 import gc
 import hashlib
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -211,9 +214,30 @@ def test_run_more_trees_than_nodes_exits_2_before_creating_out(small_workload, t
     assert main(args) == 2
     assert f"cannot select {first_bad} landmarks from 40 nodes" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
-    # FF selects no landmarks, so any tree count runs
+    # FF selects no landmarks, so it runs with any single count; a sweep is
+    # bounded for every policy
     args = run_args(small_workload, tmp_path / "ff", policy="FF", extra=("--trees", trees))
-    assert main(args) == 0
+    assert main(args) == (0 if trees == "99" else 2)
+    assert (tmp_path / "ff").exists() == (trees == "99")
+
+
+def test_huge_ff_sweep_exits_2_before_creating_out(small_workload, tmp_path):
+    """An FF sweep too long to list exits 2, without a traceback, before
+    `--out` exists. The child's address space is capped, so a sweep that
+    gets listed fails within a gigabyte instead of filling the host."""
+    out = tmp_path / "x"
+    args = run_args(small_workload, out, policy="FF",
+                    extra=("--trees", "1..100000000000000000000"))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "pbtsim.cli", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=cap_memory, timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot select 41 landmarks from 40 nodes\n")
+    assert not out.exists()
 
 
 def test_huge_trees_sweep_exits_2_without_building_it(small_workload, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Source guards: the package imports only the standard library, one loop
 writes the credit ledger, only the graph writes link weights, one
-function runs the landmarks' min computation, and the engine builds a
-run's first trees in one place."""
+function runs the landmarks' min computation, the engine builds a run's
+first trees in one place, and node ids are parsed in one place."""
 
 import ast
 import pathlib
@@ -91,6 +91,33 @@ def test_only_setup_builds_a_runs_first_trees():
     engine = next(path for path in SOURCES if path.name == "engine.py")
     assert [f for _, f in callers(engine, {"build_embeddings"})] == ["_setup"]
     assert [f for _, f in callers(engine, {"periodic_rebuild"})] == ["_setup", "run_dynamic"]
+
+
+def node_id_parses(path):
+    """(file, enclosing function) of every `parse_int(..., "node id", ...)` call."""
+    lines = {
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Call)
+        and any(isinstance(a, ast.Constant) and a.value == "node id" for a in node.args)
+    }
+    return [(path.name, f) for line, f in callers(path, {"parse_int"}) if line in lines]
+
+
+def test_only_the_id_table_parses_node_ids():
+    """Every reader looks a node id up in its id table, so no reader makes
+    a second object for an id."""
+    assert [call for path in SOURCES for call in node_id_parses(path)] == [("workload.py", "_node_id")]
+
+
+def test_node_id_guard_sees_every_form_of_the_call(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "def f(t):\n"
+        "    return parse_int(t, 'node id'), credit.parse_int(t, 'node id', 3)\n"
+        "x = parse_int('1', 'trees')\n"
+    )
+    assert node_id_parses(source) == [("mod.py", "f"), ("mod.py", "f")]
 
 
 def test_ledger_guard_names_the_enclosing_function(tmp_path):

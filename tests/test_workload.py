@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pbtsim.cli as cli
 from pbtsim.credit import credit, format_credit
 from pbtsim.errors import ConfigError, ParseError
 from pbtsim.workload import (
@@ -158,6 +159,92 @@ def test_build_graph_skips_zero_and_self_rows():
     assert g.weight(0, 1) == credit(5)
     assert g.link_count() == 1
     assert {0, 1, 2, 3, 4} <= g.nodes
+
+
+# ---- one object per node id ------------------------------------------------------------
+
+# Ids above 256, since CPython shares the objects of small ints anyway; some
+# are written with a leading zero or space.
+RING = [1000 + i for i in range(12)]
+RING_SNAP = "u,v,weight\n" + "".join(
+    f"{u},{v},50\n{v},{u},40\n" for u, v in zip(RING, RING[1:] + RING[:1])
+) + "01003,1009,30\n 1009,1003,30\n"
+RING_TXS = "time,value,src,dst\n" + "".join(
+    f"{i},1,{RING[i]},{RING[(i + 5) % 12]}\n" for i in range(12)) + "20,1,2000,1004\n"
+RING_CHANGES = "time,u,v,new_weight\n2,1000,1001,0\n3,2000,1000,60\n4,1000,2000,60\n5,01005,1006,70\n"
+
+
+def parsed_by_run(tmp_path, monkeypatch):
+    """The graph and the events `pbtsim run` hands the engine for the ring workload."""
+    paths = []
+    for name, text in (("s", RING_SNAP), ("t", RING_TXS), ("c", RING_CHANGES)):
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_text(text)
+    seen = []
+    run_dynamic = cli.run_dynamic
+
+    def capture(g, events, policy, params):
+        seen.append((g, list(events)))
+        return run_dynamic(g, events, policy, params)
+
+    monkeypatch.setattr(cli, "run_dynamic", capture)
+    assert cli.main([
+        "run", "--mode", "dynamic", "--policy", "GE-RAND-OND", "--trees", "2",
+        "--snapshot", str(paths[0]), "--transactions", str(paths[1]),
+        "--link-changes", str(paths[2]), "--out", str(tmp_path / "out"),
+    ]) == 0
+    [(g, events)] = seen
+    return g, events
+
+
+def test_run_reads_each_node_id_as_one_object(tmp_path, monkeypatch):
+    g, events = parsed_by_run(tmp_path, monkeypatch)
+    node = {v: v for v in g._adj}
+    assert list(node) == RING
+    for ns in g._adj.values():
+        assert all(v is node[v] for v in ns)
+    assert len(g._links) == 26
+    for u, v in g._links:
+        assert u is node[u] and v is node[v]
+    ends = [end for e in events
+            for end in ((e.src, e.dst) if isinstance(e, TransactionEvent) else (e.u, e.v))]
+    assert len(ends) == 2 * (13 + 4) and 2000 in ends
+    # A node that only joins later has one object too, the first one read.
+    for end in ends:
+        assert end is node.setdefault(end, end)
+
+
+def test_id_table_changes_no_value():
+    ids = {}
+    parses = [(parse_snapshot, RING_SNAP), (parse_transactions, RING_TXS),
+              (parse_link_changes, RING_CHANGES)]
+    shared = [parse(text, ids=ids) for parse, text in parses]
+    assert shared == [parse(text) for parse, text in parses]
+    # a second read, through a table that holds every id already
+    assert [parse(text, ids=ids) for parse, text in parses] == shared
+
+
+@pytest.mark.parametrize("value", ["7", "70000"])
+def test_id_texts_of_one_value_give_one_object(value):
+    ids = {}
+    [a, b] = parse_transactions(
+        f"time,value,src,dst\n0,1,{value},0{value}\n1,1, {value},8\n", ids=ids)
+    assert a.src is a.dst is b.src
+    [c] = parse_link_changes(f"time,u,v,new_weight\n0,0{value},9,1\n", ids=ids)
+    assert c.u is a.src and c.u == int(value)
+
+
+@pytest.mark.parametrize("parse,text,error_line", [
+    (parse_snapshot, "u,v,weight\n1000,1001,5\n1000,x,5\n", 3),
+    (parse_transactions, "time,value,src,dst\n0,1,1000,1001\n1,1,1000,1٠01\n", 3),
+    (parse_link_changes, "time,u,v,new_weight\n0,1000,1001,1\n1,²,1000,1\n", 3),
+])
+def test_bad_id_with_a_table_raises_at_its_line(parse, text, error_line):
+    ids = {}
+    parse_snapshot(RING_SNAP, ids=ids)
+    with pytest.raises(ParseError) as err:
+        parse(text, ids=ids)
+    assert err.value.line == error_line
 
 
 # ---- preprocessing ------------------------------------------------------------------
