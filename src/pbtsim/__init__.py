@@ -1,7 +1,7 @@
 """Routing engine and discrete-event simulator for path-based transaction networks."""
 
 from .credit import SCALE, credit, format_credit, parse_credit, parse_int
-from .errors import ConfigError, CoordinateTooDeep, InternalError, ParseError, PbtError
+from .errors import ConfigError, InternalError, ParseError, PbtError
 from .graph import CreditGraph, LinkDelta, NodeId
 from .embedding import (
     Coordinate,
@@ -37,7 +37,6 @@ from .engine import (
     RunMetrics,
     SimParams,
     TransactionEvent,
-    relative_success,
     run_dynamic,
     run_static,
 )

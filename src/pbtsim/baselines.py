@@ -110,7 +110,7 @@ def parse_policy(text: str) -> RoutingPolicy:
 
 
 def grid_policies() -> list[RoutingPolicy]:
-    """The full comparison grid: LM/GE x MUL/RAND x PER/OND plus both TO variants."""
+    """The comparison grid, LM/GE x MUL/RAND x PER/OND plus both TO variants; a test aid."""
     out = []
     for p in ("LM", "GE"):
         for c in ("MUL", "RAND"):
@@ -390,6 +390,8 @@ def flow_feasible(g: CreditGraph, src: NodeId, dst: NodeId, c: int) -> bool:
 
     pushed = 0
     while pushed < c:
+        # Two small searches from both ends meet long before a one-way search
+        # has covered the graph, which made the oracle most of the set-up.
         # Parents toward src (forward side) and toward dst (backward side).
         fwd: dict[NodeId, NodeId | None] = {src: None}
         bwd: dict[NodeId, NodeId | None] = {dst: None}

@@ -5,8 +5,10 @@ problems, 3 runtime invariant violations. Every summary file embeds the
 full configuration and a workload content hash so comparisons are
 provably like-for-like; `compare` refuses summaries whose fingerprints
 differ. Every integer read from a file, a flag or a config value is a
-nonnegative number in ASCII digits (`credit.parse_int`); anything else
-exits 2.
+nonnegative number in ASCII digits (`credit.parse_int`), at most
+`sys.get_int_max_str_digits()` of them (4,300 unless Python is told
+otherwise); the whole part of an amount has the same limit
+(`credit.parse_credit`). Anything else exits 2.
 """
 
 from __future__ import annotations

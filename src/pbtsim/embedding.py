@@ -6,17 +6,18 @@ b-bit element, so the tree distance between two nodes is
 ``len(a) + len(b) - 2 * common_prefix_len(a, b)``.
 
 A receiver can hand out a return address instead of its coordinate: the
-coordinate is padded to a fixed element count and every element is keyed-
-hashed. Forwarders compare hashed prefixes, which shifts all distances by
-a constant (padding minus the receiver's depth) and therefore preserves
-the greedy next-hop ordering without revealing the coordinate.
+coordinate is padded to the smallest multiple of ``DEFAULT_ADDRESS_LEN``
+that holds it and every element is keyed-hashed. Forwarders compare hashed
+prefixes, which shifts all distances by a constant (padding minus the
+receiver's depth) and therefore preserves the greedy next-hop ordering.
 
 Keyed hashing is the privacy model (``hashed_prefix_len``,
 ``address_distance``); the simulator's forwarders route on the plaintext
 prefix of the padded coordinate instead, which gives the same distance
 except on a 2^-128 digest collision (the embedding and routing tests check
 the two against each other). The digests are therefore computed only when
-read.
+read, and no command reads them: the model stays as the tests' reference,
+and ``bench/harness.py`` traces ``routing.address_distance``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ConfigError, CoordinateTooDeep, InternalError
+from .errors import ConfigError, InternalError
 from .graph import CreditGraph, NodeId
 
 Coordinate = tuple[int, ...]
@@ -103,16 +104,13 @@ class ReturnAddress:
 
 def gen_return_address(
     c: Coordinate,
-    delta: int = DEFAULT_ADDRESS_LEN,
-    rng: random.Random | None = None,
+    delta: int,
+    rng: random.Random,
     element_bits: int = DEFAULT_ELEMENT_BITS,
 ) -> ReturnAddress:
     """Create a fresh-keyed return address for coordinate c, padded to delta."""
     if len(c) > delta:
-        raise CoordinateTooDeep(
-            f"coordinate depth {len(c)} exceeds address length {delta}"
-        )
-    rng = rng if rng is not None else random.Random()
+        raise ConfigError(f"coordinate depth {len(c)} exceeds address length {delta}")
     key = rng.getrandbits(128).to_bytes(16, "big")
     padding = tuple(rng.getrandbits(element_bits) for _ in range(delta - len(c)))
     return ReturnAddress(key, len(c), tuple(c) + padding, element_bits)
@@ -149,9 +147,9 @@ class Embedding:
     ``neighbor_index`` maps a node to the neighbor index greedy routing
     keeps for it (``routing.build_neighbor_index``, with the neighbor list
     it was built from). While any index exists, attach, detach and
-    rollback_undo add every node whose coordinate they change to ``moved``;
-    ``routing.next_hop`` drops the indexes of those nodes and their graph
-    neighbors before its next lookup. A fresh embedding has no indexes.
+    rollback_undo add every node whose coordinate they change to ``moved``,
+    for the staleness rule in the ``routing`` module docstring. A fresh
+    embedding has no indexes.
     """
 
     def __init__(

@@ -482,16 +482,3 @@ def run_dynamic(
         raise InternalError("reservations leaked across the run")
     return metrics
 
-
-def relative_success(metrics: RunMetrics, baseline: RunMetrics) -> list[float | None]:
-    """Per-epoch policy success ratio divided by the baseline's; may exceed 1."""
-    epochs = metrics.epochs
-    base = {e.epoch: e for e in baseline.epochs}
-    out: list[float | None] = []
-    for em in epochs:
-        be = base.get(em.epoch)
-        if be is None or be.transactions == 0 or em.transactions == 0 or be.success_ratio == 0:
-            out.append(None)
-        else:
-            out.append(em.success_ratio / be.success_ratio)
-    return out

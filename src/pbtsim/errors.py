@@ -23,10 +23,6 @@ class ParseError(PbtError):
         self.line = line
 
 
-class CoordinateTooDeep(ConfigError):
-    """A coordinate exceeds the padded address length; raise the padding."""
-
-
 class InternalError(PbtError):
     """A runtime invariant was violated (CLI exit code 3).
 

@@ -52,7 +52,9 @@ class CreditGraph:
     """
 
     def __init__(self) -> None:
-        # (u, v) -> [weight, reserved]; entry exists iff weight > 0
+        # (u, v) -> [weight, reserved]; entry exists iff weight > 0. One list per
+        # link makes a credit check one lookup; available-credit ints with a sparse
+        # reservation map save memory but slow the reserve-heavy landmark policies.
         self._links: dict[tuple[NodeId, NodeId], list[int]] = {}
         self._adj: dict[NodeId, list[NodeId]] = {}
 
@@ -88,10 +90,6 @@ class CreditGraph:
 
     def degree(self, v: NodeId) -> int:
         return len(self._adj[v])
-
-    def link_count(self) -> int:
-        """Number of directed links with positive weight."""
-        return len(self._links)
 
     def undirected_edge_count(self) -> int:
         """Number of adjacent node pairs (each pair counted once)."""
@@ -214,7 +212,7 @@ class CreditGraph:
     # ---- derived quantities ----------------------------------------------
 
     def net_balance(self, v: NodeId) -> int:
-        """Incoming minus outgoing weight; signed micro-units (KeyError for an unknown node)."""
+        """Incoming minus outgoing weight, signed; a test aid for the conservation checks."""
         return sum(self.weight(n, v) - self.weight(v, n) for n in self._adj[v])
 
     def total_reserved(self) -> int:

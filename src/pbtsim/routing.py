@@ -25,14 +25,19 @@ address's padded coordinate. Keyed hashing stays the privacy model
 a path-compressed trie over the coordinates of the node's graph neighbors
 (``build_neighbor_index``), built the first time a walk reaches the node.
 The target coordinate is walked down the trie, and only the neighbors that
-can be closer than the current node are visited, nearest rings first. An
-index is valid while the graph returns the same ``neighbors`` list
-object it was built from (the graph replaces that list whenever the
-neighbor set changes) and no neighbor's coordinate has changed: the
+can be closer than the current node are visited, nearest rings first. The
+hop and the random draws are those of a plain scan in ascending neighbor
+id, which the tests keep as reference.
+
+Staleness rule: a node's index is stale once its neighbor list changed or
+one of its neighbors moved, and only then. The first shows as the graph
+returning another ``neighbors`` list object than the one the index was
+built from (the graph replaces the list whenever the neighbor set
+changes), and ``next_hop`` rebuilds the index. For the second, the
 embedding records every node it attaches, detaches or rolls back in
-``moved``, and ``next_hop`` drops the indexes of those nodes and their
-neighbors before its next lookup. The hop and the random draws are those of
-a plain scan in ascending neighbor id, which the tests keep as reference.
+``moved``, and ``next_hop`` drops the indexes of those nodes' neighbors
+before its next lookup. A node's own move leaves its index valid, since
+the index holds only its neighbors' coordinates.
 
 Message accounting is one message per link traversal, both for the probe
 itself and for the success/failure report travelling the reverse path
@@ -82,7 +87,9 @@ def split_value(c: int, k: int, rng: random.Random) -> list[int]:
 # extends the node's prefix (of length depth), in (len(coord), id) order, and
 # the next element after the prefix -> child trie node, or a bare neighbor id
 # while only one member continues that way. Edges are path-compressed: a trie
-# node exists only where members branch or end.
+# node exists only where members branch or end. Most edges end in one member,
+# so a bare id spares a list per neighbor at build time and one level of
+# indirection in the walk; uniform trie-node leaves were slower and larger.
 TrieNode = list
 
 
@@ -135,11 +142,10 @@ def build_neighbor_index(coords: dict[NodeId, Coordinate], nbrs: list[NodeId]) -
 
 
 def _drop_moved(g: CreditGraph, emb: Embedding) -> None:
-    """Drop the index of every moved node and of each of its graph neighbors."""
+    """Drop the index of every graph neighbor of a moved node (the staleness rule)."""
     index = emb.neighbor_index
     adj = g._adj
     for x in emb.moved:
-        index.pop(x, None)
         for n in adj.get(x, ()):
             index.pop(n, None)
     emb.moved.clear()
@@ -171,12 +177,8 @@ def next_hop(
     ring whose length bound is below its depth. The credit check runs on the
     members within the bound only.
 
-    The index of a node is built when a walk first reaches it and holds the
-    ``g.neighbors`` list it was built from; it is rebuilt when the
-    graph returns another list (the neighbor set changed). ``Embedding``
-    marks every node whose coordinate changes as moved while some index
-    exists, and the indexes of moved nodes and their neighbors are dropped
-    here before the lookup.
+    The index of a node is built when a walk first reaches it and is
+    dropped or rebuilt here by the module's staleness rule.
     """
     coords = emb.coord
     cur_coord = coords.get(current)

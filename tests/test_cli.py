@@ -240,6 +240,32 @@ def test_huge_ff_sweep_exits_2_before_creating_out(small_workload, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["node id", "weight", "seed"])
+def test_overlong_number_exits_2_before_creating_out(small_workload, tmp_path, field):
+    """A number with more digits than Python converts to an int
+    (`sys.get_int_max_str_digits()`) is a parse error: exit 2 with one
+    error line, no traceback and no `--out`."""
+    snap, txs = small_workload
+    digits = "9" * 5000
+    extra = ()
+    if field == "seed":
+        extra = ("--seed", digits)
+    else:
+        row = f"1,{digits},5" if field == "node id" else f"1,2,{digits}"
+        snap = tmp_path / "long.csv"
+        snap.write_text(f"u,v,weight\n{row}\n")
+    out = tmp_path / "x"
+    args = run_args((snap, txs), out, extra=extra)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "pbtsim.cli", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    where = "" if field == "seed" else "line 2: "
+    what = "amount" if field == "weight" else field
+    limit = sys.get_int_max_str_digits()
+    assert (proc.returncode, proc.stderr) == (2, f"error: {where}{what} has more than {limit} digits\n")
+    assert not out.exists()
+
+
 def test_huge_trees_sweep_exits_2_without_building_it(small_workload, tmp_path, capsys):
     # A list of every count would need terabytes; the bound is checked on the range.
     args = run_args(small_workload, tmp_path / "x", policy="GE-RAND-OND",

@@ -17,7 +17,7 @@ from pbtsim.embedding import (
     gen_return_address,
     is_prefix,
 )
-from pbtsim.errors import ConfigError, CoordinateTooDeep, InternalError
+from pbtsim.errors import ConfigError, InternalError
 from pbtsim.graph import CreditGraph
 
 from conftest import random_graph
@@ -173,7 +173,7 @@ def test_address_fresh_key_per_call():
 
 
 def test_address_depth_guard():
-    with pytest.raises(CoordinateTooDeep):
+    with pytest.raises(ConfigError, match="coordinate depth 5 exceeds address length 4"):
         gen_return_address(tuple(range(5)), delta=4, rng=random.Random(1))
 
 

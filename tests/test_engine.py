@@ -12,7 +12,6 @@ from pbtsim.engine import (
     LinkChangeEvent,
     SimParams,
     TransactionEvent,
-    relative_success,
     run_dynamic,
     run_static,
 )
@@ -278,16 +277,10 @@ def test_lockstep_oracle_monotone_per_epoch():
         assert e.oracle_feasible >= e.successes
 
 
-def test_relative_success_twin():
+def test_max_flow_settles_a_feasible_dynamic_load():
     g, txs = desk_workload(tx=250)
-    params = SimParams(seed=7, epoch=50)
-    metrics = run_dynamic(g, txs, parse_policy("GE-RAND-OND"), params)
-    baseline = run_dynamic(g, txs, MAX_FLOW_POLICY, params)
+    baseline = run_dynamic(g, txs, MAX_FLOW_POLICY, SimParams(seed=7, epoch=50))
     assert baseline.success_ratio() >= 0.9  # max-flow succeeds on feasible loads
-    series = relative_success(metrics, baseline)
-    assert len(series) == len(metrics.epochs)
-    for value in series:
-        assert value is None or value >= 0
 
 
 # ---- lockstep oracle and audit, pinned ------------------------------------------------

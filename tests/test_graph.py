@@ -24,7 +24,7 @@ def test_set_link_zero_zero_pair_pruned():
     g = CreditGraph()
     g.set_link(0, 1, credit(5))
     g.set_link(0, 1, 0)
-    assert g.link_count() == 0
+    assert len(g._links) == 0
     assert 1 not in g.neighbors(0)
 
 
@@ -275,7 +275,7 @@ def test_giant_component_connected_graph_is_identity(line_graph):
     rows = [LinkRecord(u, v, entry[0]) for (u, v), entry in line_graph._links.items()]
     result = preprocess(SnapshotFile(rows), [], [])
     assert result.report["nodes_kept"] == len(line_graph.nodes)
-    assert result.report["links_kept"] == line_graph.link_count()
+    assert result.report["links_kept"] == len(line_graph._links)
 
 
 def test_clone_is_independent(line_graph):

@@ -1,10 +1,12 @@
 """Source guards: the package imports only the standard library, one loop
 writes the credit ledger, only the graph writes link weights, one
 function runs the landmarks' min computation, the engine builds a run's
-first trees in one place, and node ids are parsed in one place."""
+first trees in one place, node ids are parsed in one place, and every
+random draw comes from a seeded stream."""
 
 import ast
 import pathlib
+import random
 import sys
 
 import pbtsim
@@ -148,3 +150,48 @@ def test_call_guard_names_the_method_and_plain_calls(tmp_path):
         "    return x.mpc_min_assign(), mpc_min_assign\n"
     )
     assert list(callers(source, {"mpc_min_assign"})) == [(3, "A.attempt"), (5, "f")]
+
+
+# The module-level functions of `random` are methods of one hidden, unseeded
+# generator: random.random, randint, choice, shuffle, getrandbits, seed, ...
+GLOBAL_DRAWS = {
+    name for name in random.__all__
+    if isinstance(getattr(getattr(random, name), "__self__", None), random.Random)
+}
+
+
+def unseeded_draws(path):
+    """Sorted lines of every `random.Random()` without a seed and of every
+    use of a module-level draw function, called or imported."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "random":
+            if any(alias.name in GLOBAL_DRAWS for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            callee = node.func
+            name = getattr(callee, "attr", getattr(callee, "id", None))
+            module = getattr(getattr(callee, "value", None), "id", None)
+            if name == "Random" and not (node.args or node.keywords) \
+                    or module == "random" and name in GLOBAL_DRAWS:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_src_draws_only_from_seeded_streams():
+    """Runs repeat byte for byte from their seed, so no draw in the package
+    may come from an unseeded generator."""
+    assert [f"{path.name}:{line}" for path in SOURCES for line in unseeded_draws(path)] == []
+
+
+def test_draw_guard_sees_every_unseeded_form(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "import random\n"
+        "from random import Random, shuffle\n"
+        "a = random.Random(), Random(), random.Random(7), Random(x)\n"
+        "b = random.randint(0, 3)\n"
+        "c = random.getrandbits(8), rng.getrandbits(8)\n"
+        "random.seed(4)\n"
+    )
+    assert unseeded_draws(source) == [2, 3, 3, 4, 5, 6]

@@ -289,6 +289,33 @@ def test_next_hop_index_matches_scan_across_changes(seed, element_bits, data):
             assert_indexes_fresh(g, emb)
 
 
+def test_a_moved_leaf_keeps_its_own_index():
+    """A leaf that detaches and re-attaches (the property test's `move` step)
+    changes no neighbor's coordinate, so its own cached index is kept; the
+    indexes of its neighbors, which hold its coordinate, are rebuilt."""
+    g = random_graph(24, 30, seed=11)
+    emb = build_embeddings(g, g.select_landmarks(1, "degree"), seed=11)[0]
+    rnd = random.Random(11)
+    addr = gen_return_address(emb.coord[emb.landmark], 16, rnd)
+
+    def query_all():
+        for cur in sorted(g.nodes):
+            next_hop(g, emb, cur, addr, 0, random.Random(cur))
+
+    query_all()
+    inner = set(emb.parent.values())
+    x = next(n for n in sorted(emb.coord)
+             if n != emb.landmark and n not in inner and len(g.neighbors(n)) > 1)
+    before = dict(emb.neighbor_index)
+    emb.detach(x)
+    emb.attach(x, max(n for n in g.neighbors(x) if emb.attached(n)), rnd.getrandbits(128))
+    query_all()
+    assert emb.neighbor_index[x] is before[x]
+    for n in g.neighbors(x):
+        assert emb.neighbor_index[n] is not before[n], n
+    assert_indexes_fresh(g, emb)
+
+
 # ---- route_probe ------------------------------------------------------------------
 
 
