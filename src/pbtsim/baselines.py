@@ -8,7 +8,10 @@ SilentWhispers is LM-MUL-PER and SpeedyMurmurs is GE-RAND-OND. The
 distributed Ford-Fulkerson policy (FF, ``max_flow``) is the baseline with
 full message accounting; the feasibility oracle (``flow_feasible``, used by
 the ``--feasible-only`` pool filter and the lockstep oracle) answers the
-same max-flow question by value alone, at a fraction of the cost.
+same max-flow question by value alone, at a fraction of the cost. Both
+searches keep one residual map and push along each path they find with
+the one augmentation step, ``_augment``; FF reads its net flow back off
+that map to decompose it into paths.
 
 Each executor's ``attempt`` discovers paths, assigns credit, reserves
 along the paths and settles or rolls back, with the one greedy walk and
@@ -219,30 +222,18 @@ def max_flow(
     """
     if src not in g.nodes or dst not in g.nodes or src == dst:
         return MaxFlowResult(0, [], 0)
-    links = g._links
     res: dict[tuple[NodeId, NodeId], int] = {}
-    flows: dict[tuple[NodeId, NodeId], int] = {}
     value = 0
     messages = 0
-
-    def residual(a: NodeId, b: NodeId) -> int:
-        r = res.get((a, b))
-        if r is not None:
-            return r
-        entry = links.get((a, b))
-        return entry[0] - entry[1] if entry else 0
-
     res_get = res.get
-    links_get = links.get
+    links_get = g._links.get
     while target is None or value < target:
-        parent: dict[NodeId, NodeId] = {src: src}
+        parent: dict[NodeId, NodeId | None] = {src: None}
         queue = deque([src])
-        found = False
-        scanned = 0
-        while queue and not found:
+        while queue and dst not in parent:
             cur = queue.popleft()
             for n in g.neighbors(cur):
-                scanned += 1
+                messages += 1
                 if n in parent:
                     continue
                 key = (cur, n)
@@ -254,42 +245,69 @@ def max_flow(
                     continue
                 parent[n] = cur
                 if n == dst:
-                    found = True
                     break
                 queue.append(n)
-        messages += scanned
-        if not found:
+        if dst not in parent:
             break
-        path_nodes = [dst]
-        while path_nodes[-1] != src:
-            path_nodes.append(parent[path_nodes[-1]])
-        path_nodes.reverse()
-        hops = list(zip(path_nodes, path_nodes[1:]))
-        bottleneck = min(residual(a, b) for a, b in hops)
-        push = bottleneck if target is None else min(bottleneck, target - value)
-        for a, b in hops:
-            res[(a, b)] = residual(a, b) - push
-            res[(b, a)] = residual(b, a) + push
-            back = flows.get((b, a), 0)
-            if back >= push:
-                flows[(b, a)] = back - push
-            else:
-                flows[(a, b)] = flows.get((a, b), 0) + push - back
-                if back:
-                    flows[(b, a)] = 0
-        value += push
+        value += _augment(g, res, _chain(parent, dst)[::-1],
+                          None if target is None else target - value)
 
-    return MaxFlowResult(value, _decompose(flows, src, dst), messages)
+    return MaxFlowResult(value, _decompose(g, res, src, dst), messages)
+
+
+def _chain(parent: dict[NodeId, NodeId | None], x: NodeId | None) -> list[NodeId]:
+    """x, its parent, that one's parent and so on, up to a root whose parent is None."""
+    nodes = []
+    while x is not None:
+        nodes.append(x)
+        x = parent[x]
+    return nodes
+
+
+def _augment(g: CreditGraph, res: dict[tuple[NodeId, NodeId], int], nodes: list[NodeId],
+             limit: int | None) -> int:
+    """Push the bottleneck of the simple path nodes, at most limit, and return it.
+
+    ``res`` holds residual capacities; a link missing from it has its
+    available credit. A push keeps ``g.available(a, b) - res[a, b]`` the
+    net flow from a to b.
+    """
+    available = g.available
+    hops = list(zip(nodes, nodes[1:]))
+    residuals = [res.get(hop, available(*hop)) for hop in hops]
+    push = min(residuals) if limit is None else min(min(residuals), limit)
+    for (a, b), r in zip(hops, residuals):
+        res[(a, b)] = r - push
+        res[(b, a)] = res.get((b, a), available(b, a)) + push
+    return push
 
 
 def _decompose(
-    flows: dict[tuple[NodeId, NodeId], int], src: NodeId, dst: NodeId
+    g: CreditGraph, res: dict[tuple[NodeId, NodeId], int], src: NodeId, dst: NodeId
 ) -> list[tuple[Path, int]]:
-    """Strip src->dst paths off a net flow, cancelling any cycles met on the way."""
+    """Strip src->dst paths off the net flow in ``res``, cancelling any cycles met on the way.
+
+    The net flow on (u, v) is the positive part of ``g.available(u, v) -
+    res[u, v]`` (see ``_augment``); each next hop is the smallest id with
+    flow left, so the order of ``res`` does not matter.
+    """
     out: dict[NodeId, dict[NodeId, int]] = {}
-    for (u, v), amt in flows.items():
+    for (u, v), r in res.items():
+        amt = g.available(u, v) - r
         if amt > 0:
             out.setdefault(u, {})[v] = amt
+
+    def strip(hops: Path) -> int:
+        """Take the smallest flow on hops off each of them, and return it."""
+        amt = min(out[a][b] for a, b in hops)
+        for a, b in hops:
+            out[a][b] -= amt
+            if out[a][b] == 0:
+                del out[a][b]
+                if not out[a]:
+                    del out[a]
+        return amt
+
     paths: list[tuple[Path, int]] = []
     while out.get(src):
         nodes = [src]
@@ -300,13 +318,7 @@ def _decompose(
             if nxt in position:
                 # Cycle: cancel its minimum flow and retry from the repeat point.
                 cycle = nodes[position[nxt] :] + [nxt]
-                cmin = min(out[a][b] for a, b in zip(cycle, cycle[1:]))
-                for a, b in zip(cycle, cycle[1:]):
-                    out[a][b] -= cmin
-                    if out[a][b] == 0:
-                        del out[a][b]
-                        if not out[a]:
-                            del out[a]
+                strip(list(zip(cycle, cycle[1:])))
                 nodes = nodes[: position[nxt] + 1]
                 position = {n: i for i, n in enumerate(nodes)}
                 if not out.get(nodes[-1]):
@@ -317,14 +329,7 @@ def _decompose(
         if nodes[-1] != dst:
             continue
         links = list(zip(nodes, nodes[1:]))
-        amt = min(out[a][b] for a, b in links)
-        for a, b in links:
-            out[a][b] -= amt
-            if out[a][b] == 0:
-                del out[a][b]
-                if not out[a]:
-                    del out[a]
-        paths.append((links, amt))
+        paths.append((links, strip(links)))
     return paths
 
 
@@ -345,28 +350,25 @@ def flow_feasible(g: CreditGraph, src: NodeId, dst: NodeId, c: int) -> bool:
         side over residual links into dst, the smaller frontier expanded
         first) until c units are pushed or no path is left.
 
-    It is kept apart from ``max_flow`` because that is the FF policy and
-    its cost model: its sorted one-direction BFS scan count is charged as
-    messages and delay, and its paths are decomposed for settlement. The
-    oracle only answers yes or no, so it neither sorts nor counts
-    neighbors and builds no path decomposition.
+    Both searches push with ``_augment`` over a residual map, but the BFS
+    is kept apart from ``max_flow``'s because that is the FF policy and its
+    cost model: its sorted one-direction BFS scan count is charged as
+    messages and delay, and FF reads its net flow off the residual map to
+    decompose it for settlement. The oracle only answers yes or no, so it
+    neither sorts nor counts neighbors and builds no path decomposition.
     """
     if c <= 0:
         return True
     if src == dst or src not in g.nodes or dst not in g.nodes:
         return False
-    links_get = g._links.get
+    available = g.available
     adj = g._adj
-
-    def avail(a: NodeId, b: NodeId) -> int:
-        entry = links_get((a, b))
-        return entry[0] - entry[1] if entry else 0
-
-    if sum(avail(src, n) for n in adj[src]) < c or sum(avail(n, dst) for n in adj[dst]) < c:
+    if sum(available(src, n) for n in adj[src]) < c or sum(available(n, dst) for n in adj[dst]) < c:
         return False
 
     res: dict[tuple[NodeId, NodeId], int] = {}
     res_get = res.get
+    links_get = g._links.get
 
     def expand(front, seen, other, forward):
         """One BFS level; returns the next frontier and the meeting node, if any."""
@@ -405,23 +407,8 @@ def flow_feasible(g: CreditGraph, src: NodeId, dst: NodeId, c: int) -> bool:
                 b_front, meet = expand(b_front, bwd, fwd, False)
         if meet is None:
             return False
-        nodes = []
-        x = meet
-        while x is not None:
-            nodes.append(x)
-            x = fwd[x]
-        nodes.reverse()
-        x = bwd[meet]
-        while x is not None:
-            nodes.append(x)
-            x = bwd[x]
-        hops = list(zip(nodes, nodes[1:]))
-        residuals = [res_get(hop, avail(*hop)) for hop in hops]
-        push = min(min(residuals), c - pushed)
-        for (a, b), r in zip(hops, residuals):
-            res[(a, b)] = r - push
-            res[(b, a)] = res_get((b, a), avail(b, a)) + push
-        pushed += push
+        nodes = _chain(fwd, meet)[::-1] + _chain(bwd, bwd[meet])
+        pushed += _augment(g, res, nodes, c - pushed)
     return True
 
 

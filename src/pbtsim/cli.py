@@ -8,7 +8,9 @@ differ. Every integer read from a file, a flag or a config value is a
 nonnegative number in ASCII digits (`credit.parse_int`), at most
 `sys.get_int_max_str_digits()` of them (4,300 unless Python is told
 otherwise); the whole part of an amount has the same limit
-(`credit.parse_credit`). Anything else exits 2.
+(`credit.parse_credit`), and so has `--seed + --runs - 1`, the seed of the
+last run. Anything else exits 2. In dynamic mode the retry window `--tl`
+defaults to ceil(2 x the mean gap between payments).
 """
 
 from __future__ import annotations
@@ -169,6 +171,9 @@ class _RunOptions:
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         self.seed = pick_int("seed", "1")
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        if limit and self.seed + self.runs - 1 >= 10**limit:
+            raise ConfigError(f"seed + runs - 1 has more than {limit} digits")
         self.sample = pick_int("sample")
         feasible = pick("feasible_only", "false")
         self.feasible_only = _parse_bool(feasible)

@@ -122,29 +122,21 @@ class EpochMetric:
 
 
 class RunMetrics:
-    """Per-transaction and per-epoch records of one simulation run."""
+    """Per-transaction and per-epoch records of one simulation run.
+
+    ``epochs`` runs contiguously from epoch 0 through the last one touched.
+    Idle epochs are kept: ``mean_stabilization`` divides by this list, so
+    ``stab_messages`` is a mean per epoch of time, idle ones included.
+    """
 
     def __init__(self) -> None:
         self.transactions: list[TxMetric] = []
-        self._epochs: dict[int, EpochMetric] = {}
+        self.epochs: list[EpochMetric] = []
 
     def epoch(self, index: int) -> EpochMetric:
-        em = self._epochs.get(index)
-        if em is None:
-            em = self._epochs[index] = EpochMetric(index)
-        return em
-
-    @property
-    def epochs(self) -> list[EpochMetric]:
-        """Contiguous epoch list from 0 through the last touched epoch.
-
-        Idle epochs are kept: ``mean_stabilization`` divides by this list,
-        so ``stab_messages`` is a mean per epoch of time, idle ones included.
-        """
-        if not self._epochs:
-            return []
-        last = max(self._epochs)
-        return [self._epochs.get(i) or EpochMetric(i) for i in range(last + 1)]
+        """The record of epoch index, adding idle records up to it."""
+        self.epochs.extend(EpochMetric(i) for i in range(len(self.epochs), index + 1))
+        return self.epochs[index]
 
     def success_ratio(self) -> float:
         return _mean([t.success for t in self.transactions])
@@ -370,37 +362,6 @@ def run_static(
 # ---- dynamic mode -----------------------------------------------------------------
 
 
-@dataclass
-class _Schedule:
-    """Epoch geometry: one epoch spans `epoch` mean inter-transaction times.
-
-    The mean gap is kept as the exact rational span/den so epoch indices
-    come out of pure integer arithmetic.
-    """
-
-    t0: int
-    span: int  # timestamp span of the transaction list
-    den: int   # transaction count - 1
-    epoch: int
-
-    @classmethod
-    def from_events(cls, events: list[Event], epoch: int) -> _Schedule:
-        times = [e.time for e in events if isinstance(e, TransactionEvent)]
-        t0 = events[0].time if events else 0
-        if len(times) >= 2 and times[-1] > times[0]:
-            span, den = times[-1] - times[0], len(times) - 1
-        else:
-            span, den = SCALE, 1  # no spread to measure: a mean gap of one time unit
-        return cls(t0, span, den, epoch)
-
-    def epoch_of(self, t: int) -> int:
-        return (t - self.t0) * self.den // (self.epoch * self.span)
-
-    def default_tl(self) -> int:
-        """ceil(2 * mean inter-transaction time)."""
-        return max(1, -(-2 * self.span // self.den))
-
-
 def run_dynamic(
     g0: CreditGraph,
     events: list[Event],
@@ -411,9 +372,14 @@ def run_dynamic(
 
     Link changes invoke on-demand repair (or are absorbed until the next
     periodic rebuild); failed transactions retry up to attempts-1 times,
-    each rescheduled uniformly within the retry window. Per-epoch metrics
-    bin transactions by their initiation time and stabilization messages
-    by when they occur.
+    each rescheduled uniformly within the retry window, by default
+    ceil(2 x mean gap). Per-epoch metrics bin transactions by their
+    initiation time and stabilization messages by when they occur.
+
+    One epoch spans ``params.epoch`` mean gaps between payments. The mean
+    gap is kept as the exact rational span/den (the payments' time span
+    over their count - 1), so epoch indices come out of integer
+    arithmetic; it is one time unit when the payments span no time.
     """
     params.validate()
     for a, b in zip(events, events[1:]):
@@ -425,12 +391,19 @@ def run_dynamic(
     if policy.periodic:
         metrics.epoch(0).stabilization_messages += charge
 
-    sched = _Schedule.from_events(events, params.epoch)
-    tl = params.tl if params.tl is not None else sched.default_tl()
+    times = [e.time for e in events if isinstance(e, TransactionEvent)]
+    t0 = events[0].time if events else 0
+    if len(times) >= 2 and times[-1] > times[0]:
+        span, den = times[-1] - times[0], len(times) - 1
+    else:
+        span, den = SCALE, 1  # no spread to measure: a mean gap of one time unit
 
-    heap: list[tuple[int, int, object]] = []
-    for seq, ev in enumerate(events):
-        heap.append((ev.time, seq, ev))
+    def epoch_of(t: int) -> int:
+        return (t - t0) * den // (params.epoch * span)
+
+    tl = params.tl if params.tl is not None else max(1, -(-2 * span // den))
+
+    heap: list[tuple[int, int, object]] = [(ev.time, seq, ev) for seq, ev in enumerate(events)]
     heapq.heapify(heap)
     next_seq = len(events)
 
@@ -439,7 +412,7 @@ def run_dynamic(
 
     while heap:
         t, _, item = heapq.heappop(heap)
-        e = sched.epoch_of(t)
+        e = epoch_of(t)
         if e > current_epoch:
             if policy.periodic:
                 # One rebuild per boundary; every crossed epoch pays for one.
@@ -458,7 +431,7 @@ def run_dynamic(
             continue
 
         if isinstance(item, TransactionEvent):
-            pay = _Payment(tx_index, item, metrics.epoch(sched.epoch_of(item.time)))
+            pay = _Payment(tx_index, item, metrics.epoch(epoch_of(item.time)))
             tx_index += 1
             if not _valid_endpoints(g, item):
                 metrics.transactions.append(pay.metric(None))

@@ -31,6 +31,12 @@ def star_graph():
     return g
 
 
+def bi_link(g, u, v, w=10):
+    """Link u and v both ways, w whole units each."""
+    g.set_link(u, v, credit(w))
+    g.set_link(v, u, credit(w))
+
+
 def random_graph(n: int, extra_edges: int, seed: int, wmin=1, wmax=50) -> CreditGraph:
     """Connected random graph: a random tree plus extra bidirectional links."""
     rnd = random.Random(seed)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pbtsim.baselines import (
     MAX_FLOW_POLICY,
+    _decompose,
     flow_feasible,
     grid_policies,
     landmark_paths,
@@ -21,12 +22,7 @@ from pbtsim.embedding import build_embeddings, coord_distance
 from pbtsim.errors import ConfigError
 from pbtsim.graph import CreditGraph
 
-from conftest import random_graph
-
-
-def bi_link(g, u, v, w=10):
-    g.set_link(u, v, credit(w))
-    g.set_link(v, u, credit(w))
+from conftest import bi_link, random_graph
 
 
 # ---- policies -----------------------------------------------------------------
@@ -384,6 +380,23 @@ def test_max_flow_missing_endpoint():
     g = CreditGraph()
     g.set_link(0, 1, credit(1))
     assert max_flow(g, 0, 99).value == 0
+
+
+def test_decompose_cancels_a_cycle_on_the_smallest_id_route():
+    # A net flow of 4 from 0 to 9: 1 forwards 3 to 2 and 3 to 5, and 2 -> 3 -> 1
+    # sends 2 back round. The smallest-id walk 0-1-2-3 meets 1 again, so the
+    # cycle's 2 units cancel; what is left is 0-1-2-9 (1) and 0-1-5-9 (3).
+    net = {(0, 1): 4, (1, 2): 3, (2, 3): 2, (3, 1): 2, (2, 9): 1, (1, 5): 3, (5, 9): 3}
+    g = CreditGraph()
+    res = {}
+    for (u, v), amt in net.items():
+        bi_link(g, u, v)
+        res[u, v] = g.available(u, v) - amt
+        res[v, u] = g.available(v, u) + amt
+    assert _decompose(g, res, 0, 9) == [
+        ([(0, 1), (1, 2), (2, 9)], 1),
+        ([(0, 1), (1, 5), (5, 9)], 3),
+    ]
 
 
 # ---- executors -----------------------------------------------------------------------

@@ -240,16 +240,20 @@ def test_huge_ff_sweep_exits_2_before_creating_out(small_workload, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field", ["node id", "weight", "seed"])
+@pytest.mark.parametrize("field", ["node id", "weight", "seed", "seed + runs - 1"])
 def test_overlong_number_exits_2_before_creating_out(small_workload, tmp_path, field):
     """A number with more digits than Python converts to an int
     (`sys.get_int_max_str_digits()`) is a parse error: exit 2 with one
-    error line, no traceback and no `--out`."""
+    error line, no traceback and no `--out`. So is a seed at the limit whose
+    last run (`run_args` asks for two) gets a seed one digit longer."""
     snap, txs = small_workload
+    limit = sys.get_int_max_str_digits()
     digits = "9" * 5000
     extra = ()
     if field == "seed":
         extra = ("--seed", digits)
+    elif field == "seed + runs - 1":
+        extra = ("--seed", "9" * limit)
     else:
         row = f"1,{digits},5" if field == "node id" else f"1,2,{digits}"
         snap = tmp_path / "long.csv"
@@ -259,9 +263,8 @@ def test_overlong_number_exits_2_before_creating_out(small_workload, tmp_path, f
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-m", "pbtsim.cli", *args], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
-    where = "" if field == "seed" else "line 2: "
+    where = "" if field.startswith("seed") else "line 2: "
     what = "amount" if field == "weight" else field
-    limit = sys.get_int_max_str_digits()
     assert (proc.returncode, proc.stderr) == (2, f"error: {where}{what} has more than {limit} digits\n")
     assert not out.exists()
 

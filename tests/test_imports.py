@@ -1,6 +1,7 @@
 """Source guards: the package imports only the standard library, one loop
 writes the credit ledger, only the graph writes link weights, one
-function runs the landmarks' min computation, the engine builds a run's
+function runs the landmarks' min computation, both max-flow searches push
+with one augmentation step, the engine builds a run's
 first trees in one place, node ids are parsed in one place, and every
 random draw comes from a seeded stream."""
 
@@ -85,6 +86,16 @@ def test_only_landmark_min_runs_the_min_computation():
         for _, function in callers(path, {"mpc_min_assign"})
     ]
     assert calls == [("baselines.py", "_landmark_min")]
+
+
+def test_only_the_max_flow_searches_augment():
+    """FF and the feasibility oracle share the bottleneck-and-push step."""
+    calls = [
+        (path.name, function)
+        for path in SOURCES
+        for _, function in callers(path, {"_augment"})
+    ]
+    assert calls == [("baselines.py", "max_flow"), ("baselines.py", "flow_feasible")]
 
 
 def test_only_setup_builds_a_runs_first_trees():

@@ -29,12 +29,7 @@ from pbtsim.routing import (
 )
 from pbtsim.workload import TransactionEvent
 
-from conftest import random_graph
-
-
-def bi_link(g, u, v, w=10):
-    g.set_link(u, v, credit(w))
-    g.set_link(v, u, credit(w))
+from conftest import bi_link, random_graph
 
 
 # ---- split_value -----------------------------------------------------------------

@@ -7,12 +7,7 @@ from pbtsim.embedding import Embedding, build_embeddings
 from pbtsim.graph import CreditGraph
 from pbtsim.stabilization import choose_parent, on_link_change, periodic_rebuild
 
-from conftest import random_graph
-
-
-def bi_link(g, u, v, w=10):
-    g.set_link(u, v, credit(w))
-    g.set_link(v, u, credit(w))
+from conftest import bi_link, random_graph
 
 
 def apply_change(g, embs, u, v, new, rng):
