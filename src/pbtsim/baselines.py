@@ -211,14 +211,15 @@ class MaxFlowResult:
 
 
 def max_flow(
-    g: CreditGraph, src: NodeId, dst: NodeId, target: int | None = None
+    g: CreditGraph, src: NodeId, dst: NodeId, target: int
 ) -> MaxFlowResult:
-    """Augment along shortest residual paths until target is met or none remain.
+    """Augment along shortest residual paths until the flow reaches target or none remain.
 
-    Residual capacities start from guaranteed available credit. Each BFS
-    scans neighbors in ascending node id and is charged one message per
-    link scanned. Returns the flow value and a path decomposition suitable
-    for committing the payment.
+    ``target`` is required; one above every possible flow asks for the
+    full max flow. Residual capacities start from guaranteed available
+    credit. Each BFS scans neighbors in ascending node id and is charged
+    one message per link scanned. Returns the flow value and a path
+    decomposition suitable for committing the payment.
     """
     if src not in g.nodes or dst not in g.nodes or src == dst:
         return MaxFlowResult(0, [], 0)
@@ -227,7 +228,7 @@ def max_flow(
     messages = 0
     res_get = res.get
     links_get = g._links.get
-    while target is None or value < target:
+    while value < target:
         parent: dict[NodeId, NodeId | None] = {src: None}
         queue = deque([src])
         while queue and dst not in parent:
@@ -249,8 +250,7 @@ def max_flow(
                 queue.append(n)
         if dst not in parent:
             break
-        value += _augment(g, res, _chain(parent, dst)[::-1],
-                          None if target is None else target - value)
+        value += _augment(g, res, _chain(parent, dst)[::-1], target - value)
 
     return MaxFlowResult(value, _decompose(g, res, src, dst), messages)
 
@@ -265,7 +265,7 @@ def _chain(parent: dict[NodeId, NodeId | None], x: NodeId | None) -> list[NodeId
 
 
 def _augment(g: CreditGraph, res: dict[tuple[NodeId, NodeId], int], nodes: list[NodeId],
-             limit: int | None) -> int:
+             limit: int) -> int:
     """Push the bottleneck of the simple path nodes, at most limit, and return it.
 
     ``res`` holds residual capacities; a link missing from it has its
@@ -275,7 +275,7 @@ def _augment(g: CreditGraph, res: dict[tuple[NodeId, NodeId], int], nodes: list[
     available = g.available
     hops = list(zip(nodes, nodes[1:]))
     residuals = [res.get(hop, available(*hop)) for hop in hops]
-    push = min(residuals) if limit is None else min(min(residuals), limit)
+    push = min(limit, *residuals)
     for (a, b), r in zip(hops, residuals):
         res[(a, b)] = r - push
         res[(b, a)] = res.get((b, a), available(b, a)) + push

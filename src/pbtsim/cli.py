@@ -24,7 +24,7 @@ import random
 import statistics
 import sys
 
-from .baselines import RoutingPolicy, flow_feasible, parse_policy
+from .baselines import flow_feasible, parse_policy
 from .credit import format_credit, parse_credit, parse_int
 from .engine import (
     Event,
@@ -386,8 +386,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "workload fingerprints differ; refusing to compare: "
             + ", ".join(sorted(fingerprints))
         )
-    print("policy," + ",".join(SUMMARY_METRICS))
-    out_lines = []
+    lines = ["policy," + ",".join(SUMMARY_METRICS)]
     for _, rows in parsed:
         for label, values in rows:
             cells = []
@@ -395,14 +394,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 mean = values[j]
                 sd = values[len(SUMMARY_METRICS) + j]
                 cells.append(f"{mean:.4f}±{sd:.4f}")
-            line = ",".join([label] + cells)
-            print(line)
-            out_lines.append(line)
+            lines.append(",".join([label] + cells))
+    table = "\n".join(lines) + "\n"
+    print(table, end="")
     if args.out:
-        _atomic_write(
-            args.out,
-            "policy," + ",".join(SUMMARY_METRICS) + "\n" + "\n".join(out_lines) + "\n",
-        )
+        _atomic_write(args.out, table)
     return 0
 
 

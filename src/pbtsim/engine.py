@@ -125,7 +125,7 @@ class RunMetrics:
     """Per-transaction and per-epoch records of one simulation run.
 
     ``epochs`` runs contiguously from epoch 0 through the last one touched.
-    Idle epochs are kept: ``mean_stabilization`` divides by this list, so
+    Idle epochs are kept: ``summary`` divides by this list, so its
     ``stab_messages`` is a mean per epoch of time, idle ones included.
     """
 
@@ -138,28 +138,14 @@ class RunMetrics:
         self.epochs.extend(EpochMetric(i) for i in range(len(self.epochs), index + 1))
         return self.epochs[index]
 
-    def success_ratio(self) -> float:
-        return _mean([t.success for t in self.transactions])
-
-    def mean_hop_delay(self) -> float:
-        return _mean([t.hop_delay for t in self.transactions])
-
-    def mean_messages(self) -> float:
-        return _mean([t.messages for t in self.transactions])
-
-    def mean_path_length(self) -> float:
-        return _mean([h for t in self.transactions if t.success for h in t.path_lengths])
-
-    def mean_stabilization(self) -> float:
-        return _mean([e.stabilization_messages for e in self.epochs])
-
     def summary(self) -> dict[str, float]:
+        txs = self.transactions
         return {
-            "success_ratio": self.success_ratio(),
-            "delay_hops": self.mean_hop_delay(),
-            "tx_messages": self.mean_messages(),
-            "path_len": self.mean_path_length(),
-            "stab_messages": self.mean_stabilization(),
+            "success_ratio": _mean([t.success for t in txs]),
+            "delay_hops": _mean([t.hop_delay for t in txs]),
+            "tx_messages": _mean([t.messages for t in txs]),
+            "path_len": _mean([h for t in txs if t.success for h in t.path_lengths]),
+            "stab_messages": _mean([e.stabilization_messages for e in self.epochs]),
         }
 
 

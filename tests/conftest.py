@@ -1,9 +1,28 @@
 import random
+import signal
 
 import pytest
 
 from pbtsim.credit import credit
 from pbtsim.graph import CreditGraph
+
+TEST_TIME_LIMIT_S = 600  # about 8x the slowest test
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TEST_TIME_LIMIT_S, so a hang is reported
+    as a failure instead of stopping the suite."""
+    def expire(signum, frame):
+        pytest.fail(f"test ran past its {TEST_TIME_LIMIT_S} s time limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -52,6 +71,11 @@ def random_graph(n: int, extra_edges: int, seed: int, wmin=1, wmax=50) -> Credit
             g.set_link(u, v, credit(rnd.randint(wmin, wmax)))
             g.set_link(v, u, credit(rnd.randint(wmin, wmax)))
     return g
+
+
+def unreachable_target(g: CreditGraph) -> int:
+    """A max_flow target no flow in g can reach: its total weight plus one."""
+    return sum(weight for weight, _ in g._links.values()) + 1
 
 
 # ---- acceptance reporting ----------------------------------------------------

@@ -8,7 +8,6 @@ max-flow-feasible entries, mirroring the static-mode methodology.
 """
 
 import functools
-import math
 import os
 import random
 import statistics
@@ -19,7 +18,6 @@ import networkx as nx
 import pytest
 
 from pbtsim.baselines import (
-    MAX_FLOW_POLICY,
     flow_feasible,
     grid_policies,
     max_flow,
@@ -27,7 +25,7 @@ from pbtsim.baselines import (
 )
 from pbtsim.cli import main as cli_main
 from pbtsim.credit import credit
-from pbtsim.embedding import Embedding, build_embeddings, coord_distance
+from pbtsim.embedding import Embedding, coord_distance
 from pbtsim.engine import (
     LinkChangeEvent,
     SimParams,
@@ -40,7 +38,7 @@ from pbtsim.stabilization import periodic_rebuild
 from pbtsim.workload import build_graph, generate_synthetic, preprocess, \
     parse_link_changes, parse_snapshot, parse_transactions
 
-from conftest import record_acceptance
+from conftest import record_acceptance, unreachable_target
 
 # Frozen desk-scale comparison workload (tuned once, then pinned).
 DESK = dict(
@@ -138,7 +136,7 @@ def test_c2_grid_correctness():
     for policy in grid_policies():
         params = SimParams(trees=TREES, attempts=ATTEMPTS, seed=7, audit=True)
         metrics = run_static(g, pool, policy, params)
-        assert metrics.success_ratio() > 0, policy.label
+        assert metrics.summary()["success_ratio"] > 0, policy.label
     assert audit_count > 100_000
 
 
@@ -164,7 +162,7 @@ def test_c3_max_flow_oracle():
         src, dst = rnd.randrange(n), (rnd.randrange(n - 1) + 1) % n
         if src == dst:
             dst = (dst + 1) % n
-        ours = max_flow(g, src, dst).value
+        ours = max_flow(g, src, dst, unreachable_target(g)).value
         theirs = nx.maximum_flow_value(nxg, src, dst) if nxg.number_of_edges() else 0
         assert ours == theirs, (seed, src, dst)
 
@@ -179,7 +177,7 @@ def test_c4_feasibility_bound():
                        lockstep_oracle=True, epoch=500)
     # the engine raises InternalError if any success is infeasible
     metrics = run_static(g, pool, parse_policy("GE-RAND-OND"), params)
-    assert metrics.success_ratio() > 0
+    assert metrics.summary()["success_ratio"] > 0
     for e in metrics.epochs:
         assert e.oracle_feasible >= e.successes
 

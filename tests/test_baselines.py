@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import networkx as nx
@@ -22,7 +21,7 @@ from pbtsim.embedding import build_embeddings, coord_distance
 from pbtsim.errors import ConfigError
 from pbtsim.graph import CreditGraph
 
-from conftest import bi_link, random_graph
+from conftest import bi_link, random_graph, unreachable_target
 
 
 # ---- policies -----------------------------------------------------------------
@@ -267,7 +266,7 @@ def test_max_flow_diamond_brute_force():
         for b in range(5)
     )
     assert best == 7
-    result = max_flow(g, 0, 1)
+    result = max_flow(g, 0, 1, unreachable_target(g))
     assert result.value == credit(7)
     assert sum(amount for _, amount in result.paths) == credit(7)
 
@@ -301,7 +300,7 @@ def test_max_flow_matches_networkx(chunk):
         src, dst = rnd.randrange(n), rnd.randrange(n)
         if src == dst:
             dst = (src + 1) % n
-        ours = max_flow(g, src, dst)
+        ours = max_flow(g, src, dst, unreachable_target(g))
         theirs, _ = nx.maximum_flow(to_networkx(g), src, dst) if len(g._links) else (0, {})
         assert ours.value == theirs
         assert sum(a for _, a in ours.paths) == ours.value
@@ -344,7 +343,7 @@ def test_flow_feasible_matches_max_flow_and_networkx(data, graph):
             if g.available(u, v) > 0:
                 nxg.add_edge(u, v, capacity=g.available(u, v))
         value = nx.maximum_flow_value(nxg, src, dst)
-        assert max_flow(g, src, dst).value == value
+        assert max_flow(g, src, dst, unreachable_target(g)).value == value
     else:
         value = 0
     extra = data.draw(st.integers(-3, value + 3))
@@ -362,7 +361,7 @@ def test_flow_feasible_cancels_flow_on_a_shortest_path():
     g = CreditGraph()
     for u, v in ((0, 1), (1, 2), (2, 5), (0, 3), (3, 2), (1, 4), (4, 5)):
         g.set_link(u, v, 1)
-    assert max_flow(g, 0, 5).value == 2
+    assert max_flow(g, 0, 5, unreachable_target(g)).value == 2
     assert flow_feasible(g, 0, 5, 2)
     assert not flow_feasible(g, 0, 5, 3)
 
@@ -379,7 +378,7 @@ def test_max_flow_target_stops_early(rng):
 def test_max_flow_missing_endpoint():
     g = CreditGraph()
     g.set_link(0, 1, credit(1))
-    assert max_flow(g, 0, 99).value == 0
+    assert max_flow(g, 0, 99, unreachable_target(g)).value == 0
 
 
 def test_decompose_cancels_a_cycle_on_the_smallest_id_route():

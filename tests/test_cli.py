@@ -338,9 +338,14 @@ def test_compare_merges_summaries(workload, tmp_path, capsys):
     out1, out2 = tmp_path / "p1", tmp_path / "p2"
     assert main(run_args(workload, out1, policy="GE-RAND-OND")) == 0
     assert main(run_args(workload, out2, policy="LM-MUL-PER")) == 0
-    code = main(["compare", str(out1 / "summary.csv"), str(out2 / "summary.csv")])
+    capsys.readouterr()
+    table_path = tmp_path / "table.csv"
+    code = main(["compare", str(out1 / "summary.csv"), str(out2 / "summary.csv"),
+                 "--out", str(table_path)])
     assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    printed = capsys.readouterr().out
+    assert table_path.read_bytes() == printed.encode("utf-8")
+    lines = printed.strip().splitlines()
     table = [l for l in lines if "," in l]
     assert table[0].startswith("policy,")
     assert {r.split(",")[0] for r in table[1:]} == {"GE-RAND-OND", "LM-MUL-PER"}

@@ -1,9 +1,10 @@
-"""Source guards: the package imports only the standard library, one loop
-writes the credit ledger, only the graph writes link weights, one
-function runs the landmarks' min computation, both max-flow searches push
-with one augmentation step, the engine builds a run's
-first trees in one place, node ids are parsed in one place, and every
-random draw comes from a seeded stream."""
+"""Source guards: the package imports only the standard library, no file
+imports a name it never reads, one loop writes the credit ledger, only
+the graph writes link weights, one function runs the landmarks' min
+computation, both max-flow searches push with one augmentation step, one
+greedy walk calls next_hop, the engine builds a run's first trees in one
+place, node ids are parsed in one place, and every random draw comes
+from a seeded stream."""
 
 import ast
 import pathlib
@@ -98,6 +99,16 @@ def test_only_the_max_flow_searches_augment():
     assert calls == [("baselines.py", "max_flow"), ("baselines.py", "flow_feasible")]
 
 
+def test_only_greedy_walk_calls_next_hop():
+    """GE-RAND probes and GE-MUL discovery both walk through greedy_walk."""
+    calls = [
+        (path.name, function)
+        for path in SOURCES
+        for _, function in callers(path, {"next_hop"})
+    ]
+    assert calls == [("routing.py", "greedy_walk")]
+
+
 def test_only_setup_builds_a_runs_first_trees():
     """A static run reuses its first trees in every epoch; only a dynamic
     run, whose graph changes, rebuilds at epoch crossings."""
@@ -149,6 +160,54 @@ def test_guard_sees_a_third_party_import(tmp_path):
     source = tmp_path / "mod.py"
     source.write_text("import os\nfrom networkx import DiGraph\nfrom . import graph\n")
     assert list(absolute_imports(source)) == [(1, "os"), (2, "networkx")]
+
+
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+
+
+def unused_imports(path):
+    """(line, name) of every name a source file imports and never reads.
+
+    ``from __future__`` imports and an alias whose own line carries
+    ``# noqa: F401`` (a name kept for a caller outside the file) are exempt.
+    """
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text, str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append((alias.lineno, name))
+    return sorted(unused)
+
+
+def test_no_unused_imports():
+    """The package re-exports its API from __init__.py; every other import is read."""
+    files = [path for path in SOURCES if path.name != "__init__.py"] + TESTS
+    assert [f"{path.name}:{line}: {name}" for path in files for line, name in unused_imports(path)] == []
+
+
+def test_unused_import_guard_sees_every_form(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "from __future__ import annotations\n"
+        "import os, os.path as osp\n"
+        "import xml.dom\n"
+        "from .graph import (\n"
+        "    CreditGraph,\n"
+        "    NodeId,  # noqa: F401  kept for a caller\n"
+        "    LinkDelta as Delta,\n"
+        ")\n"
+        "def f(g: CreditGraph) -> None:\n"
+        "    return xml.dom\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (2, "osp"), (7, "Delta")]
 
 
 def test_call_guard_names_the_method_and_plain_calls(tmp_path):

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from pbtsim.credit import credit
-from pbtsim.embedding import Embedding, build_embeddings
+from pbtsim.embedding import build_embeddings
 from pbtsim.graph import CreditGraph
 from pbtsim.stabilization import choose_parent, on_link_change, periodic_rebuild
 
