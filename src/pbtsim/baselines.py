@@ -8,10 +8,11 @@ SilentWhispers is LM-MUL-PER and SpeedyMurmurs is GE-RAND-OND. The
 distributed Ford-Fulkerson policy (FF, ``max_flow``) is the baseline with
 full message accounting; the feasibility oracle (``flow_feasible``, used by
 the ``--feasible-only`` pool filter and the lockstep oracle) answers the
-same max-flow question by value alone, at a fraction of the cost. Both
-searches keep one residual map and push along each path they find with
-the one augmentation step, ``_augment``; FF reads its net flow back off
-that map to decompose it into paths.
+same max-flow question yes or no, at a fraction of the cost: most payments
+are answered by one search for a single path wide enough for the whole
+value, without a push. Both searches push along residual paths over one
+residual map with the one augmentation step, ``_augment``; FF reads its
+net flow back off that map to decompose it into paths.
 
 Each executor's ``attempt`` discovers paths, assigns credit, reserves
 along the paths and settles or rolls back, with the one greedy walk and
@@ -341,37 +342,44 @@ def flow_feasible(g: CreditGraph, src: NodeId, dst: NodeId, c: int) -> bool:
     available credit, weight minus reservations. A value of c <= 0 is
     always feasible; src == dst or an unknown endpoint is not.
 
-    The answer is found in two steps:
+    The answer is found in three steps:
       * cut bound: when the sender's total available outgoing credit or
         the receiver's total incoming credit is below c, no flow reaches
         c, and the check ends without a search;
-      * augmentation: push along residual paths found by a bidirectional
-        BFS (the forward side over residual links out of src, the backward
-        side over residual links into dst, the smaller frontier expanded
-        first) until c units are pushed or no path is left.
+      * one wide search: a bidirectional BFS (the forward side over links
+        out of src, the backward side over links into dst, the smaller
+        frontier expanded first) passing only links with at least c
+        available. If the sides meet, one path carries all of c: yes, with
+        no push (the wide-path idea of Edmonds and Karp, JACM 1972);
+      * residual loop, the exact fallback: push along residual paths found
+        by the same BFS until c units are pushed or no path is left.
 
-    Both searches push with ``_augment`` over a residual map, but the BFS
-    is kept apart from ``max_flow``'s because that is the FF policy and its
-    cost model: its sorted one-direction BFS scan count is charged as
-    messages and delay, and FF reads its net flow off the residual map to
+    Both max-flow searches push with ``_augment`` over a residual map, but
+    the BFS is kept apart from ``max_flow``'s because that is the FF policy
+    and its cost model: its sorted one-direction BFS scan count is charged
+    as messages and delay, and FF reads its net flow off the residual map to
     decompose it for settlement. The oracle only answers yes or no, so it
-    neither sorts nor counts neighbors and builds no path decomposition.
+    neither sorts nor counts neighbors, builds no path decomposition, and
+    never writes the graph.
     """
     if c <= 0:
         return True
     if src == dst or src not in g.nodes or dst not in g.nodes:
         return False
-    available = g.available
     adj = g._adj
-    if sum(available(src, n) for n in adj[src]) < c or sum(available(n, dst) for n in adj[dst]) < c:
+    links_get = g._links.get
+
+    def total(keys):
+        return sum(entry[0] - entry[1] for entry in map(links_get, keys) if entry)
+
+    if total((src, n) for n in adj[src]) < c or total((n, dst) for n in adj[dst]) < c:
         return False
 
     res: dict[tuple[NodeId, NodeId], int] = {}
     res_get = res.get
-    links_get = g._links.get
 
-    def expand(front, seen, other, forward):
-        """One BFS level; returns the next frontier and the meeting node, if any."""
+    def expand(front, seen, other, forward, floor):
+        """One BFS level over links with floor or more left: next frontier, meeting node."""
         nxt = []
         for x in front:
             for y in adj[x]:
@@ -382,7 +390,7 @@ def flow_feasible(g: CreditGraph, src: NodeId, dst: NodeId, c: int) -> bool:
                 if r is None:
                     entry = links_get(key)
                     r = entry[0] - entry[1] if entry else 0
-                if r <= 0:
+                if r < floor:
                     continue
                 seen[y] = x
                 if y in other:
@@ -390,8 +398,8 @@ def flow_feasible(g: CreditGraph, src: NodeId, dst: NodeId, c: int) -> bool:
                 nxt.append(y)
         return nxt, None
 
-    pushed = 0
-    while pushed < c:
+    def search(floor):
+        """A src-dst path of links with at least floor left, or None."""
         # Two small searches from both ends meet long before a one-way search
         # has covered the graph, which made the oracle most of the set-up.
         # Parents toward src (forward side) and toward dst (backward side).
@@ -402,12 +410,18 @@ def flow_feasible(g: CreditGraph, src: NodeId, dst: NodeId, c: int) -> bool:
         meet = None
         while meet is None and f_front and b_front:
             if len(f_front) <= len(b_front):
-                f_front, meet = expand(f_front, fwd, bwd, True)
+                f_front, meet = expand(f_front, fwd, bwd, True, floor)
             else:
-                b_front, meet = expand(b_front, bwd, fwd, False)
-        if meet is None:
+                b_front, meet = expand(b_front, bwd, fwd, False, floor)
+        return None if meet is None else _chain(fwd, meet)[::-1] + _chain(bwd, bwd[meet])
+
+    if search(c) is not None:
+        return True
+    pushed = 0
+    while pushed < c:
+        nodes = search(1)  # residuals are whole micro-units
+        if nodes is None:
             return False
-        nodes = _chain(fwd, meet)[::-1] + _chain(bwd, bwd[meet])
         pushed += _augment(g, res, nodes, c - pushed)
     return True
 

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pbtsim import baselines
 from pbtsim.baselines import (
     MAX_FLOW_POLICY,
     _decompose,
@@ -347,10 +348,14 @@ def test_flow_feasible_matches_max_flow_and_networkx(data, graph):
     else:
         value = 0
     extra = data.draw(st.integers(-3, value + 3))
+    links = {key: list(entry) for key, entry in g._links.items()}
+    adj = {v: list(ns) for v, ns in g._adj.items()}
     for c in (0, -1, value, value + 1, extra):
         expected = c <= value
         assert flow_feasible(g, src, dst, c) is expected
         assert (max_flow(g, src, dst, target=c).value >= c) is expected
+    assert g._links == links  # weights and reservations untouched
+    assert g._adj == adj
     g.check_invariants()
 
 
@@ -364,6 +369,58 @@ def test_flow_feasible_cancels_flow_on_a_shortest_path():
     assert max_flow(g, 0, 5, unreachable_target(g)).value == 2
     assert flow_feasible(g, 0, 5, 2)
     assert not flow_feasible(g, 0, 5, 3)
+
+
+def count_augments(monkeypatch):
+    """Wrap baselines._augment; the returned list grows by one per call."""
+    calls = []
+    augment = baselines._augment
+
+    def counted(*args):
+        calls.append(args)
+        return augment(*args)
+
+    monkeypatch.setattr(baselines, "_augment", counted)
+    return calls
+
+
+def wide_detour_graph():
+    """0 -> 9 over a short route 0-1-9 of 3 units and a longer one 0-2-3-9 of 10."""
+    g = CreditGraph()
+    for u, v, w in ((0, 1, 3), (1, 9, 3), (0, 2, 10), (2, 3, 10), (3, 9, 10)):
+        g.set_link(u, v, credit(w))
+    return g
+
+
+def test_flow_feasible_takes_one_wide_path_without_a_push(monkeypatch):
+    # The BFS-shortest path 0-1-9 carries 3 of the 5; the longer 0-2-3-9
+    # carries all 5, so one wide search answers and nothing is pushed.
+    g = wide_detour_graph()
+    calls = count_augments(monkeypatch)
+    assert flow_feasible(g, 0, 9, credit(5))
+    assert calls == []
+
+
+def test_flow_feasible_narrowed_wide_path_matches_max_flow():
+    # A reservation leaves 4 on 2 -> 3, so no single path carries 5: the
+    # answer comes from the residual loop and must agree with max_flow.
+    g = wide_detour_graph()
+    g.reserve(2, 3, credit(6))
+    value = max_flow(g, 0, 9, unreachable_target(g)).value
+    assert value == credit(7)
+    for c in (credit(4), credit(5), value, value + 1):
+        assert flow_feasible(g, 0, 9, c) is (max_flow(g, 0, 9, target=c).value >= c)
+    assert flow_feasible(g, 0, 9, value) and not flow_feasible(g, 0, 9, value + 1)
+
+
+def test_flow_feasible_falls_back_to_augmenting(monkeypatch):
+    # Routes of 3 and 4: no single path carries 7, so the residual loop
+    # must push along both.
+    g, _ = path_graph([3, 4])
+    calls = count_augments(monkeypatch)
+    assert flow_feasible(g, 0, 1, credit(7))
+    assert len(calls) >= 2
+    assert not flow_feasible(g, 0, 1, credit(7) + 1)
 
 
 def test_max_flow_target_stops_early(rng):
