@@ -227,6 +227,7 @@ def max_flow(
     res: dict[tuple[NodeId, NodeId], int] = {}
     value = 0
     messages = 0
+    adj = g._adj
     res_get = res.get
     links_get = g._links.get
     while value < target:
@@ -234,7 +235,7 @@ def max_flow(
         queue = deque([src])
         while queue and dst not in parent:
             cur = queue.popleft()
-            for n in g.neighbors(cur):
+            for n in adj[cur]:
                 messages += 1
                 if n in parent:
                     continue
@@ -361,6 +362,10 @@ def flow_feasible(g: CreditGraph, src: NodeId, dst: NodeId, c: int) -> bool:
     decompose it for settlement. The oracle only answers yes or no, so it
     neither sorts nor counts neighbors, builds no path decomposition, and
     never writes the graph.
+
+    The exact fallback is not ``max_flow`` because it proves infeasibility
+    far sooner: its last search stops once either side runs out of frontier,
+    while a one-way search from src covers all that src reaches first.
     """
     if c <= 0:
         return True

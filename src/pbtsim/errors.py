@@ -5,15 +5,11 @@ problems exit with 2, internal invariant violations exit with 3.
 """
 
 
-class PbtError(Exception):
-    """Base class for all simulator errors."""
-
-
-class ConfigError(PbtError):
+class ConfigError(Exception):
     """Invalid configuration or parameters (CLI exit code 2)."""
 
 
-class ParseError(PbtError):
+class ParseError(Exception):
     """Malformed workload file; carries the offending line number."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -23,7 +19,7 @@ class ParseError(PbtError):
         self.line = line
 
 
-class InternalError(PbtError):
+class InternalError(Exception):
     """A runtime invariant was violated (CLI exit code 3).
 
     Signals a bug in probe/rollback bookkeeping or a corrupted embedding,

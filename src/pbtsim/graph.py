@@ -47,8 +47,7 @@ class CreditGraph:
 
     ``_adj`` maps each node, in order of first appearance, to its neighbor
     list (the module's adjacency rule). Single-writer: the simulation engine
-    serializes all mutations. Clones are fully independent and may be used
-    in parallel runs.
+    serializes all mutations. Clones are fully independent.
     """
 
     def __init__(self) -> None:

@@ -70,6 +70,35 @@ def test_run_byte_identical_reruns(workload, tmp_path):
     assert read_all(out1) == read_all(out2)
 
 
+def test_run_reads_crlf_and_lone_cr_line_endings_as_lf(workload, tmp_path):
+    """The inputs are read with universal newlines, so the output files, the
+    summary's fingerprint included, do not depend on the line endings."""
+    snap, txs = workload
+    changes = tmp_path / "changes.csv"
+    changes.write_text("time,u,v,new_weight\n1,0,1,0\n20,0,2,7.5\n")
+    outputs = []
+    for name, ending in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+        root = tmp_path / name
+        root.mkdir()
+        files = []
+        for path in (snap, txs, changes):
+            data = path.read_bytes()
+            assert b"\r" not in data
+            files.append(root / path.name)
+            files[-1].write_bytes(data.replace(b"\n", ending))
+        out = root / "out"
+        assert main([
+            "run", "--mode", "dynamic", "--policy", "GE-RAND-OND",
+            "--snapshot", str(files[0]), "--transactions", str(files[1]),
+            "--link-changes", str(files[2]), "--out", str(out),
+            "--runs", "2", "--seed", "5", "--epoch", "50",
+        ]) == 0
+        outputs.append(read_all(out))
+    assert "summary.csv" in outputs[0]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
 def test_run_unknown_policy_exits_2(workload, tmp_path):
     assert main(run_args(workload, tmp_path / "x", policy="NOPE")) == 2
 
