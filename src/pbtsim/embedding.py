@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -140,9 +139,11 @@ class Embedding:
     """One landmark's spanning tree: parent links plus prefix coordinates.
 
     The tree is its ``parent`` and ``coord`` maps; a node's children are the
-    graph neighbors whose parent it is (``subtree``). Mutations go through
-    attach/detach so the previous-coordinate memory (needed by the re-parent
-    cycle rule) and the optional undo journal stay consistent.
+    graph neighbors whose parent it is (``subtree``). Once built, the tree
+    changes only through attach/detach, so the previous-coordinate memory
+    (needed by the re-parent cycle rule) and the optional undo journal stay
+    consistent. Only ``build_embeddings`` writes the maps directly, while
+    the tree is fresh and has neither a journal nor an index.
 
     ``neighbor_index`` maps a node to the neighbor index greedy routing
     keeps for it (``routing.build_neighbor_index``, with the neighbor list
@@ -292,35 +293,54 @@ def build_embeddings(
     """Construct one spanning tree per landmark with two-phase BFS.
 
     Phase one grows the tree along links with positive weight in both
-    directions only. Once that frontier is exhausted, phase two re-enqueues,
-    in ascending id, the attached nodes that skipped a one-way neighbor, and
-    remaining nodes may join through a link with weight in at least one
-    direction (zero-zero pairs cannot exist in the graph). Every other
-    attached node had all its neighbors attached when phase one scanned
-    it, so re-scanning it would attach nothing and draw nothing. Nodes with
-    no usable connection to any landmark stay unattached.
+    directions only, and keeps for each node it scans the list of
+    unattached neighbors it skipped over a one-way link, in neighbor
+    order. Once that frontier is exhausted, phase two re-enqueues the nodes
+    with a skip list in ascending id, and remaining nodes may join through
+    a link with weight in at least one direction (zero-zero pairs cannot
+    exist in the graph). A re-enqueued node rescans only its skip list:
+    every other neighbor was attached when phase one scanned it, so
+    rescanning it would attach nothing and draw nothing. A node attached in
+    phase two scans its whole list. Nodes with no usable connection to any
+    landmark stay unattached.
+
+    A fresh tree has no undo journal and no neighbor index, so the build
+    writes ``parent`` and ``coord`` directly, in the order and with the
+    random draws ``attach`` would give.
     """
+    links = g._links
+    adj = g._adj
     embeddings = []
     for i, lm in enumerate(landmarks):
-        if lm not in g.nodes:
+        if lm not in adj:
             raise ConfigError(f"landmark {lm} not in graph")
-        rng = random.Random(derive_seed(seed, f"tree:{i}"))
+        getrandbits = random.Random(derive_seed(seed, f"tree:{i}")).getrandbits
         emb = Embedding(i, lm, element_bits)
-        queue = deque([lm])
-        bi = True
-        skipped: set[NodeId] = set()
-        while queue:
-            node = queue.popleft()
-            for n in g.neighbors(node):
-                if n in emb.coord:
+        parent = emb.parent
+        coord = emb.coord
+        skips: dict[NodeId, list[NodeId]] = {}
+        queue = [lm]
+        for node in queue:  # grows while it is read: a breadth-first queue
+            c = coord[node]
+            skipped = None
+            for n in adj[node]:
+                if n in coord:
                     continue
-                if bi and not g.bidirectional(node, n):
-                    skipped.add(node)
-                    continue
-                emb.attach(n, node, rng.getrandbits(element_bits))
-                queue.append(n)
-            if not queue and bi:
-                bi = False
-                queue.extend(sorted(skipped))
+                if (node, n) in links and (n, node) in links:
+                    parent[n] = node
+                    coord[n] = c + (getrandbits(element_bits),)
+                    queue.append(n)
+                elif skipped is None:
+                    skipped = skips[node] = [n]
+                else:
+                    skipped.append(n)
+        queue = sorted(skips)
+        for node in queue:
+            c = coord[node]
+            for n in skips.get(node) or adj[node]:
+                if n not in coord:
+                    parent[n] = node
+                    coord[n] = c + (getrandbits(element_bits),)
+                    queue.append(n)
         embeddings.append(emb)
     return embeddings

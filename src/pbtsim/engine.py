@@ -72,7 +72,8 @@ class SimParams:
     addr_overhead: bool = True
     lockstep_oracle: bool = False
     # audit mode re-derives money conservation per successful transaction:
-    # sender balance -value, receiver +value, intermediates unchanged
+    # sender balance -value, receiver +value, intermediates unchanged; a
+    # dynamic run also checks the tree and graph invariants (run_dynamic)
     audit: bool = False
 
     def validate(self) -> None:
@@ -166,11 +167,18 @@ def _repair_messages(
     embeddings: list[Embedding],
     deltas,
     rng: random.Random,
+    audit_trees: bool,
 ) -> int:
+    """Repair the trees after each weight change and count the messages.
+
+    With ``audit_trees`` every tree a repair touched is checked right after it.
+    """
     messages = 0
     for d in deltas:
         for report in on_link_change(g, embeddings, d.u, d.v, d.old, d.new, rng):
             messages += report.messages
+            if audit_trees:
+                embeddings[report.tree_index].check_invariants()
     return messages
 
 
@@ -263,13 +271,15 @@ def _attempt(
     rng: random.Random,
     params: SimParams,
     on_demand: bool,
+    audit_trees: bool = False,
 ) -> tuple[AttemptOutcome, int]:
     """One attempt of a payment: the outcome and the messages of the repairs it caused.
 
     The lockstep oracle answers before the attempt and counts in the
     payment's epoch on the first attempt only; a success is checked against
     it and, in audit mode, against the ledger. A settlement under an
-    on-demand policy triggers the repairs of its weight changes.
+    on-demand policy triggers the repairs of its weight changes, checked
+    tree by tree with ``audit_trees``.
     """
     ev = pay.event
     if params.lockstep_oracle:
@@ -286,7 +296,7 @@ def _attempt(
     if params.audit:
         _audit_settlement(ev, out.weight_deltas)
     if on_demand and out.weight_deltas:
-        return out, _repair_messages(g, embeddings, out.weight_deltas, rng)
+        return out, _repair_messages(g, embeddings, out.weight_deltas, rng, audit_trees)
     return out, 0
 
 
@@ -366,6 +376,10 @@ def run_dynamic(
     gap is kept as the exact rational span/den (the payments' time span
     over their count - 1), so epoch indices come out of integer
     arithmetic; it is one time unit when the payments span no time.
+
+    In audit mode the run also checks every tree a repair touched right
+    after the repair, and the graph's invariants at each epoch boundary
+    and at the end.
     """
     params.validate()
     for a, b in zip(events, events[1:]):
@@ -400,6 +414,8 @@ def run_dynamic(
         t, _, item = heapq.heappop(heap)
         e = epoch_of(t)
         if e > current_epoch:
+            if params.audit:
+                g.check_invariants()
             if policy.periodic:
                 # One rebuild per boundary; every crossed epoch pays for one.
                 embeddings, msgs = periodic_rebuild(
@@ -412,7 +428,7 @@ def run_dynamic(
         if isinstance(item, LinkChangeEvent):
             delta = g.set_link(item.u, item.v, item.new_weight)
             if policy.on_demand:
-                msgs = _repair_messages(g, embeddings, [delta], rng)
+                msgs = _repair_messages(g, embeddings, [delta], rng, params.audit)
                 metrics.epoch(e).stabilization_messages += msgs
             continue
 
@@ -426,7 +442,9 @@ def run_dynamic(
         else:
             pay = item  # a retry
 
-        out, stab = _attempt(executor, g, embeddings, pay, rng, params, policy.on_demand)
+        out, stab = _attempt(
+            executor, g, embeddings, pay, rng, params, policy.on_demand, params.audit
+        )
         if out.success and policy.on_demand:
             # Also when stab is 0: the settlement opens the current epoch's record.
             metrics.epoch(e).stabilization_messages += stab
@@ -437,6 +455,8 @@ def run_dynamic(
         else:
             metrics.transactions.append(pay.metric(out))
 
+    if params.audit:
+        g.check_invariants()
     if g.total_reserved() != 0:
         raise InternalError("reservations leaked across the run")
     return metrics

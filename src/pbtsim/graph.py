@@ -221,20 +221,37 @@ class CreditGraph:
         """Pick k landmark nodes, either by bidirectional degree or at random.
 
         Degree mode ranks by the bidirectional degree, the number of
-        neighbors with positive available credit in both directions (counted
-        in one pass over the links), ties broken by ascending node id.
+        neighbors with positive available credit in both directions, ties
+        broken by ascending node id. It counts that degree for nodes in
+        descending neighbor count and stops once k picks are held and the
+        next count is below the k-th pick's degree: a node's bidirectional
+        degree never exceeds its neighbor count, so no later node can rank
+        above that pick (an equal count still could, by a smaller id).
         """
-        if k > len(self.nodes):
+        if not 0 <= k <= len(self.nodes):
             raise ConfigError(f"cannot select {k} landmarks from {len(self.nodes)} nodes")
         if mode == "degree":
+            if k == 0:
+                return []
             links = self._links
-            degree = dict.fromkeys(self.nodes, 0)
-            for (u, v), (w, r) in links.items():
-                if w > r:
-                    back = links.get((v, u))
-                    if back is not None and back[0] > back[1]:
-                        degree[u] += 1
-            return heapq.nsmallest(k, self.nodes, key=lambda v: (-degree[v], v))
+            adj = self._adj
+            best: list[tuple[int, int]] = []  # min-heap of (degree, -id), the k best so far
+            for u in sorted(adj, key=lambda v: len(adj[v]), reverse=True):
+                ns = adj[u]
+                if len(best) == k and len(ns) < best[0][0]:
+                    break
+                degree = 0
+                for v in ns:
+                    fwd = links.get((u, v))
+                    if fwd is not None and fwd[0] > fwd[1]:
+                        back = links.get((v, u))
+                        if back is not None and back[0] > back[1]:
+                            degree += 1
+                if len(best) < k:
+                    heapq.heappush(best, (degree, -u))
+                elif (degree, -u) > best[0]:
+                    heapq.heapreplace(best, (degree, -u))
+            return [-neg for _, neg in sorted(best, reverse=True)]
         if mode == "random":
             rng = random.Random(seed)
             pool = sorted(self.nodes)

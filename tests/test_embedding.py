@@ -4,7 +4,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pbtsim.embedding as embedding
 from pbtsim.credit import credit
@@ -338,10 +338,23 @@ def all_nodes_phase_two_reference(g, landmarks, seed, element_bits):
     return embeddings, draws
 
 
+def skip_then_attach_graph():
+    """Node 0 skips 2 over a one-way link, then 1 attaches 2 in phase one;
+    2 skips 3, which only phase two attaches, and 3 then attaches 4."""
+    g = CreditGraph()
+    for u, v in ((0, 1), (1, 0), (0, 2), (1, 2), (2, 1), (2, 3), (4, 3)):
+        g.set_link(u, v, credit(1))
+    return g, [0, 3]
+
+
+@example(skip_then_attach_graph(), 5, 8)
 @settings(max_examples=200, deadline=None)
 @given(mixed_graphs(), st.integers(0, 2**32), st.sampled_from([8, 128]))
 def test_phase_two_rescans_only_nodes_that_skipped_a_neighbor(graph, seed, element_bits):
-    """Same parents, coordinates and random draws per tree as the all-nodes phase two."""
+    """Same parents, coordinates (in insertion order) and random draws per
+    tree as the all-nodes phase two, and a fresh tree that passes its
+    invariant check with no journal, moved set, index or previous coordinate.
+    """
     g, landmarks = graph
     made = []
 
@@ -354,8 +367,13 @@ def test_phase_two_rescans_only_nodes_that_skipped_a_neighbor(graph, seed, eleme
     reference, reference_draws = all_nodes_phase_two_reference(g, landmarks, seed, element_bits)
     assert [rng.draws for rng in made] == reference_draws
     for emb, ref in zip(built, reference, strict=True):
-        assert emb.parent == ref.parent
-        assert emb.coord == ref.coord
+        assert list(emb.parent.items()) == list(ref.parent.items())
+        assert list(emb.coord.items()) == list(ref.coord.items())
+        emb.check_invariants()
+        assert emb._journal is None
+        assert emb.moved == set()
+        assert emb.neighbor_index == {}
+        assert emb.prev_coord == {}
 
 
 @settings(max_examples=200, deadline=None)

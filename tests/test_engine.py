@@ -373,6 +373,14 @@ def records(m):
       TransactionEvent(4 * SCALE, credit(2), 2, 0)],
      SimParams(trees=2, attempts=2, epoch=2, seed=1)),
 )
+# Removing both directions of the link 1-2 leaves node 2 detached with no
+# neighbor to rejoin: only the tree audit sees a detached node keep a parent.
+@example(
+    (3, [(0, 1, 5, 5), (1, 2, 5, 5)],
+     [LinkChangeEvent(0, 1, 2, 0), LinkChangeEvent(0, 2, 1, 0),
+      TransactionEvent(SCALE, credit(1), 0, 1)],
+     SimParams(trees=1, attempts=1, epoch=1, seed=0)),
+)
 @settings(max_examples=100, deadline=None)
 @given(workload=small_workloads())
 def test_whole_random_runs_match_with_audit_on_and_off(workload):

@@ -254,6 +254,40 @@ def test_select_landmarks_too_many():
         g.select_landmarks(2, "degree")
 
 
+@pytest.mark.parametrize("mode", ["degree", "random"])
+def test_select_landmarks_zero_and_negative_counts(mode):
+    g = random_graph(5, 3, seed=2)
+    assert g.select_landmarks(0, mode) == []
+    with pytest.raises(ConfigError):
+        g.select_landmarks(-1, mode)
+
+
+def test_select_landmarks_equal_count_smaller_id_wins():
+    # Node 9 comes first with 4 neighbors, one link drained by a reservation,
+    # so its degree is 3. Node 1 has 3 neighbors, all two-way: its count only
+    # equals the pick's degree, and its smaller id must still win the tie.
+    g = CreditGraph()
+    for hub, leaves in ((9, (10, 11, 12, 13)), (1, (2, 3, 4))):
+        for leaf in leaves:
+            g.set_link(hub, leaf, credit(1))
+            g.set_link(leaf, hub, credit(1))
+    g.reserve(9, 13, credit(1))
+    assert g.select_landmarks(1, "degree") == [1]
+    assert g.select_landmarks(2, "degree") == [1, 9]
+
+
+def test_select_landmarks_one_way_hub_ranks_last():
+    # Hub 99 has the most neighbors but reaches each over a one-way link.
+    g = CreditGraph()
+    for v in range(5):
+        g.set_link(v, (v + 1) % 5, credit(1))
+        g.set_link((v + 1) % 5, v, credit(1))
+        g.set_link(99, v, credit(1))
+    assert bidirectional_degree(g, 99) == 0
+    assert g.select_landmarks(6, "degree") == [0, 1, 2, 3, 4, 99]
+    assert g.select_landmarks(5, "degree") == [0, 1, 2, 3, 4]
+
+
 def test_giant_component_picks_larger():
     g = CreditGraph()
     for u, v in ((0, 1), (1, 2), (2, 3), (3, 4)):  # size 5
