@@ -16,8 +16,10 @@ Keyed hashing is the privacy model (``hashed_prefix_len``,
 prefix of the padded coordinate instead, which gives the same distance
 except on a 2^-128 digest collision (the embedding and routing tests check
 the two against each other). The digests are therefore computed only when
-read, and no command reads them: the model stays as the tests' reference,
-and ``bench/harness.py`` traces ``routing.address_distance``.
+read, and no command reads them: the model stays as the tests' reference.
+``routing`` still imports ``address_distance`` because ``bench/harness.py``
+patches it there, but nothing calls it, so its trace metrics read 0
+(ROADMAP, "Dead trace metrics").
 """
 
 from __future__ import annotations
@@ -243,14 +245,15 @@ class Embedding:
                 return up_a[: ancestors_a[n] + 1] + up_b[:j][::-1]
         raise InternalError(f"no common ancestor for {a} and {b} in tree {self.tree_index}")
 
-    def check_invariants(self) -> None:
+    def check_invariants(self, g: CreditGraph) -> None:
         """Raise InternalError unless the tree is consistent.
 
         The landmark sits at ``()`` without a parent; every other attached
         node has an attached parent whose coordinate plus one element is its
         own (greedy routing's plaintext distance rests on this), so depth
         falls by one per parent step and every chain ends at the landmark
-        without a cycle.
+        without a cycle. Every node is adjacent to its parent in ``g``
+        (``subtree`` rests on this).
         """
         where = f"in tree {self.tree_index}"
         if self.coord.get(self.landmark) != () or self.landmark in self.parent:
@@ -265,6 +268,9 @@ class Embedding:
                 )
         if not self.parent.keys() <= self.coord.keys():
             raise InternalError(f"detached node keeps a parent {where}")
+        for node, parent in self.parent.items():
+            if not (g.weight(node, parent) or g.weight(parent, node)):
+                raise InternalError(f"{node} is not adjacent to its parent {parent} {where}")
 
     # -- mutation --
 
@@ -293,15 +299,16 @@ def build_embeddings(
     """Construct one spanning tree per landmark with two-phase BFS.
 
     Phase one grows the tree along links with positive weight in both
-    directions only, and keeps for each node it scans the list of
-    unattached neighbors it skipped over a one-way link, in neighbor
-    order. Once that frontier is exhausted, phase two re-enqueues the nodes
-    with a skip list in ascending id, and remaining nodes may join through
-    a link with weight in at least one direction (zero-zero pairs cannot
-    exist in the graph). A re-enqueued node rescans only its skip list:
-    every other neighbor was attached when phase one scanned it, so
-    rescanning it would attach nothing and draw nothing. A node attached in
-    phase two scans its whole list. Nodes with no usable connection to any
+    directions only. Which neighbors those are is the same for every tree,
+    so one pass over the links first splits each node's two-way neighbors
+    into a list, ascending like its neighbor list, and every tree's phase
+    one reads those lists. Once that frontier is exhausted, phase two lets
+    the remaining nodes join through a link with weight in at least one
+    direction (zero-zero pairs cannot exist in the graph). It starts, in
+    ascending id, from the attached nodes that still have an unattached
+    neighbor (rescanning any other node would attach nothing and draw
+    nothing), and each of those scans its whole neighbor list, as does
+    every node phase two attaches. Nodes with no usable connection to any
     landmark stay unattached.
 
     A fresh tree has no undo journal and no neighbor index, so the build
@@ -310,6 +317,13 @@ def build_embeddings(
     """
     links = g._links
     adj = g._adj
+    bidi: dict[NodeId, list[NodeId]] = {v: [] for v in adj}
+    for u, v in links:
+        if u < v and (v, u) in links:
+            bidi[u].append(v)
+            bidi[v].append(u)
+    for ns in bidi.values():
+        ns.sort()
     embeddings = []
     for i, lm in enumerate(landmarks):
         if lm not in adj:
@@ -318,26 +332,18 @@ def build_embeddings(
         emb = Embedding(i, lm, element_bits)
         parent = emb.parent
         coord = emb.coord
-        skips: dict[NodeId, list[NodeId]] = {}
         queue = [lm]
         for node in queue:  # grows while it is read: a breadth-first queue
             c = coord[node]
-            skipped = None
-            for n in adj[node]:
-                if n in coord:
-                    continue
-                if (node, n) in links and (n, node) in links:
+            for n in bidi[node]:
+                if n not in coord:
                     parent[n] = node
                     coord[n] = c + (getrandbits(element_bits),)
                     queue.append(n)
-                elif skipped is None:
-                    skipped = skips[node] = [n]
-                else:
-                    skipped.append(n)
-        queue = sorted(skips)
+        queue = sorted({y for x in adj if x not in coord for y in adj[x] if y in coord})
         for node in queue:
             c = coord[node]
-            for n in skips.get(node) or adj[node]:
+            for n in adj[node]:
                 if n not in coord:
                     parent[n] = node
                     coord[n] = c + (getrandbits(element_bits),)

@@ -171,14 +171,15 @@ def _repair_messages(
 ) -> int:
     """Repair the trees after each weight change and count the messages.
 
-    With ``audit_trees`` every tree a repair touched is checked right after it.
+    With ``audit_trees`` every tree a repair touched is checked right after it,
+    parent links against the graph included.
     """
     messages = 0
     for d in deltas:
         for report in on_link_change(g, embeddings, d.u, d.v, d.old, d.new, rng):
             messages += report.messages
             if audit_trees:
-                embeddings[report.tree_index].check_invariants()
+                embeddings[report.tree_index].check_invariants(g)
     return messages
 
 

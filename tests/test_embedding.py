@@ -115,23 +115,46 @@ def test_build_requires_known_landmark(line_graph):
 
 
 def test_phase_one_depth_equals_bidirectional_bfs():
-    """Nodes attached in phase 1 sit at their bidirectional BFS distance."""
+    """Nodes attached in phase 1 sit at their bidirectional BFS distance, in every tree."""
     for seed in (3, 4, 5):
         g = random_graph(60, 40, seed=seed)
-        emb = build_embeddings(g, [0], seed=seed)[0]
+        landmarks = [0, 7, 31]
         adj = {v: sorted(n for n in g.neighbors(v)
                          if g.weight(v, n) > 0 and g.weight(n, v) > 0)
                for v in g.nodes}
-        dist = {0: 0}
-        queue = deque([0])
-        while queue:
-            node = queue.popleft()
-            for n in adj[node]:
-                if n not in dist:
-                    dist[n] = dist[node] + 1
-                    queue.append(n)
-        for v, d in dist.items():
-            assert len(emb.coord[v]) == d
+        for lm, emb in zip(landmarks, build_embeddings(g, landmarks, seed=seed), strict=True):
+            dist = {lm: 0}
+            queue = deque([lm])
+            while queue:
+                node = queue.popleft()
+                for n in adj[node]:
+                    if n not in dist:
+                        dist[n] = dist[node] + 1
+                        queue.append(n)
+            for v, d in dist.items():
+                assert len(emb.coord[v]) == d
+
+
+class CountingDict(dict):
+    """A dict that counts its membership tests."""
+
+    probes = 0
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
+def test_build_tests_link_directions_once_for_all_trees():
+    """The two-way split is paid once per build, not once per tree."""
+    probes = []
+    for landmarks in ([0], [0, 7, 31]):
+        g = random_graph(60, 40, seed=3)
+        g.set_link(5, 60, credit(2))  # a one-way link to a new node
+        g._links = CountingDict(g._links)
+        build_embeddings(g, landmarks, seed=3)
+        probes.append(g._links.probes)
+    assert probes[0] == probes[1] > 0
 
 
 def test_tree_validity_and_coordinate_agreement():
@@ -224,7 +247,16 @@ def test_plaintext_distance_equals_hashed_distance(n, seed, element_bits):
 def test_check_invariants_passes_on_built_trees():
     g = random_graph(60, 40, seed=6)
     for emb in build_embeddings(g, [0, 7], seed=6):
-        emb.check_invariants()
+        emb.check_invariants(g)
+
+
+def test_check_invariants_catches_a_parent_link_missing_from_the_graph(line_graph):
+    emb = build_embeddings(line_graph, [0], seed=5)[0]
+    line_graph.set_link(1, 2, 0)
+    emb.check_invariants(line_graph)  # one direction left: still adjacent
+    line_graph.set_link(2, 1, 0)
+    with pytest.raises(InternalError, match="2 is not adjacent to its parent 1 in tree 0"):
+        emb.check_invariants(line_graph)
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -234,11 +266,13 @@ def test_check_invariants_passes_on_built_trees():
     lambda emb, v, p: emb.coord.pop(v),
 ], ids=["deep-coordinate", "landmark-coordinate", "landmark-parent", "detached-parent"])
 def test_check_invariants_catches_corruption(corrupt):
-    emb, _ = random_tree_embedding(20, seed=3)
+    emb, adj = random_tree_embedding(20, seed=3)
+    g = CreditGraph.from_weights(adj, {(v, n): credit(1) for v in adj for n in adj[v]})
+    emb.check_invariants(g)
     v = max(emb.coord, key=lambda x: len(emb.coord[x]))
     corrupt(emb, v, emb.parent[v])
     with pytest.raises(InternalError):
-        emb.check_invariants()
+        emb.check_invariants(g)
 
 
 def test_check_invariants_catches_parent_cycle():
@@ -249,8 +283,9 @@ def test_check_invariants_catches_parent_cycle():
     emb.parent[1] = 2
     emb.coord[1] = (5, 6, 5)
     emb.coord[2] = (5, 6)
+    g = CreditGraph.from_weights(range(3), {(u, v): credit(1) for u, v in ((0, 1), (1, 0), (1, 2), (2, 1))})
     with pytest.raises(InternalError):
-        emb.check_invariants()
+        emb.check_invariants(g)
 
 
 def test_undo_journal_round_trip():
@@ -347,7 +382,28 @@ def skip_then_attach_graph():
     return g, [0, 3]
 
 
+def one_way_landmark_graph():
+    """Landmark 0 has only one-way links, so phase one attaches nothing."""
+    g = CreditGraph()
+    for u, v in ((0, 1), (2, 0), (1, 2), (2, 1)):
+        g.set_link(u, v, credit(1))
+    return g, [0]
+
+
+def full_rescan_graph():
+    """Node 1 skips 3 and 4 over one-way links; 2 attaches 3 in phase one,
+    so phase two rescans 1's whole list, attached 0 and 3 included, to
+    attach 4."""
+    g = CreditGraph()
+    for u, v in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 3), (2, 3), (3, 2), (1, 4)):
+        g.set_link(u, v, credit(1))
+    return g, [0]
+
+
 @example(skip_then_attach_graph(), 5, 8)
+@example(one_way_landmark_graph(), 6, 8)
+@example((skip_then_attach_graph()[0], [2, 2]), 7, 8)
+@example(full_rescan_graph(), 8, 128)
 @settings(max_examples=200, deadline=None)
 @given(mixed_graphs(), st.integers(0, 2**32), st.sampled_from([8, 128]))
 def test_phase_two_rescans_only_nodes_that_skipped_a_neighbor(graph, seed, element_bits):
@@ -369,7 +425,7 @@ def test_phase_two_rescans_only_nodes_that_skipped_a_neighbor(graph, seed, eleme
     for emb, ref in zip(built, reference, strict=True):
         assert list(emb.parent.items()) == list(ref.parent.items())
         assert list(emb.coord.items()) == list(ref.coord.items())
-        emb.check_invariants()
+        emb.check_invariants(g)
         assert emb._journal is None
         assert emb.moved == set()
         assert emb.neighbor_index == {}
@@ -382,6 +438,6 @@ def test_build_attaches_every_node_weakly_connected_to_the_landmark(graph, seed)
     g, landmarks = graph
     components = g.components()
     for emb in build_embeddings(g, landmarks, seed, element_bits=16):
-        emb.check_invariants()
+        emb.check_invariants(g)
         component = next(c for c in components if emb.landmark in c)
         assert set(emb.coord) == component

@@ -381,6 +381,14 @@ def records(m):
       TransactionEvent(SCALE, credit(1), 0, 1)],
      SimParams(trees=1, attempts=1, epoch=1, seed=0)),
 )
+# Removing both directions of the parent link 1-2 must reset node 2; the later
+# join of node 3 touches the tree, and the audit checks 2's parent link then.
+@example(
+    (4, [(0, 1, 5, 5), (1, 2, 5, 5)],
+     [LinkChangeEvent(0, 1, 2, 0), LinkChangeEvent(0, 2, 1, 0), LinkChangeEvent(0, 0, 3, credit(1)),
+      TransactionEvent(SCALE, credit(1), 0, 1)],
+     SimParams(trees=1, attempts=1, epoch=1, seed=0)),
+)
 @settings(max_examples=100, deadline=None)
 @given(workload=small_workloads())
 def test_whole_random_runs_match_with_audit_on_and_off(workload):

@@ -202,7 +202,7 @@ def test_periodic_rebuild_empty_graph():
 
 
 def check_embedding_invariants(g, emb):
-    emb.check_invariants()
+    emb.check_invariants(g)
     for v, p in emb.parent.items():
         assert p in g.neighbors(v)  # parent link exists in some direction
     # Liveness: every node connected to the landmark is attached.
