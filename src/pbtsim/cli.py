@@ -188,19 +188,17 @@ class _RunOptions:
             addr_overhead=self.addr_overhead,
         )
 
-    def fingerprint(self, *texts: str) -> str:
-        """Hash of the input texts, one after another, and the run options."""
-        h = hashlib.sha256()
-        for text in texts:
-            h.update(text.encode())
+    def fingerprint(self, inputs) -> str:
+        """Hash of the input texts, one after another, and the run options;
+        `inputs` is a sha256 that has been fed the texts."""
         config = (
             f"mode={self.mode};attempts={self.attempts};epoch={self.epoch};"
             f"tl={self.tl};landmarks={self.landmarks};runs={self.runs};"
             f"seed={self.seed};sample={self.sample};feasible_only={self.feasible_only};"
             f"addr_overhead={self.addr_overhead}"
         )
-        h.update(config.encode())
-        return h.hexdigest()[:16]
+        inputs.update(config.encode())
+        return inputs.hexdigest()[:16]
 
     def config_line(self) -> str:
         parts = [
@@ -278,18 +276,26 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     opts = _RunOptions(args)
-    texts = [_read_text(opts.snapshot), _read_text(opts.transactions)]
-    if opts.link_changes:
-        texts.append(_read_text(opts.link_changes))
-    fingerprint = opts.fingerprint(*texts)
+    inputs = hashlib.sha256()
+
+    def read(path: str) -> str:
+        text = _read_text(path)
+        inputs.update(text.encode())
+        return text
+
     # One id table for the three files, so each node id is one object in
-    # the graph, the pool and the changes. Nothing holds the texts, the
-    # table or the parsed snapshot once these exist.
+    # the graph, the pool and the changes. Each text goes straight to its
+    # parser and is freed when the parser returns, so the snapshot text is
+    # gone before the graph is built, and the parsed snapshot is freed when
+    # `build_graph` returns. The id table is dropped once the last file is
+    # parsed; only the graph, the pool and the changes stay.
     ids: dict = {}
-    g = build_graph(parse_snapshot(texts[0], ids=ids))
-    pool = parse_transactions(texts[1], ids=ids)
-    changes = parse_link_changes(texts[2], reject_self_links=True, ids=ids) if len(texts) > 2 else []
-    del texts, ids
+    g = build_graph(parse_snapshot(read(opts.snapshot), ids=ids))
+    pool = parse_transactions(read(opts.transactions), ids=ids)
+    changes = parse_link_changes(read(opts.link_changes), reject_self_links=True, ids=ids) \
+        if opts.link_changes else []
+    del ids
+    fingerprint = opts.fingerprint(inputs)
 
     if opts.feasible_only:
         pool = [t for t in pool if t.src in g.nodes and t.dst in g.nodes

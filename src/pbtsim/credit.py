@@ -15,6 +15,8 @@ from .errors import ParseError
 # Micro-units per whole currency unit; weights carry <= 6 fractional digits.
 SCALE = 10**6
 FRACTION_DIGITS = 6
+# Micro-units per unit of a fraction's last digit, by the fraction's length.
+_FRACTION_UNIT = tuple(10 ** (FRACTION_DIGITS - n) for n in range(FRACTION_DIGITS + 1))
 
 
 def credit(amount: int | str | float) -> int:
@@ -35,12 +37,12 @@ def parse_credit(text: str, line: int | None = None) -> int:
     try:
         # Fast path for the canonical forms `d+` and `d+.d{1,6}`; every other
         # text, valid or not, takes the general path below.
-        if text.isdigit() and text.isascii():
-            return int(text) * SCALE
         whole, dot, frac = text.partition(".")
-        if dot and 0 < len(frac) <= FRACTION_DIGITS and whole.isdigit() and frac.isdigit() \
-                and text.isascii():
-            return int(whole) * SCALE + int(frac.ljust(FRACTION_DIGITS, "0"))
+        if whole.isdigit() and text.isascii():
+            if not dot:
+                return int(whole) * SCALE
+            if frac.isdigit() and len(frac) <= FRACTION_DIGITS:
+                return int(whole) * SCALE + int(frac) * _FRACTION_UNIT[len(frac)]
         text = text.strip()
         negative = text.startswith("-")
         body = text[1:] if negative or text.startswith("+") else text

@@ -183,6 +183,17 @@ def _repair_messages(
     return messages
 
 
+def _audit_state(g: CreditGraph, embeddings: list[Embedding], on_demand: bool) -> None:
+    """The graph's invariants and, under on-demand repair, every tree's.
+
+    Periodic trees are left alone: they are stale between rebuilds by design.
+    """
+    g.check_invariants()
+    if on_demand:
+        for emb in embeddings:
+            emb.check_invariants(g)
+
+
 def _audit_settlement(ev: TransactionEvent, deltas) -> None:
     """Money conservation: only the endpoints' net balances move.
 
@@ -379,8 +390,9 @@ def run_dynamic(
     arithmetic; it is one time unit when the payments span no time.
 
     In audit mode the run also checks every tree a repair touched right
-    after the repair, and the graph's invariants at each epoch boundary
-    and at the end.
+    after the repair, and at each epoch boundary and at the end the graph's
+    invariants and, under on-demand repair, every tree, so a tree that a
+    change left stale is caught without waiting for a repair to touch it.
     """
     params.validate()
     for a, b in zip(events, events[1:]):
@@ -416,7 +428,7 @@ def run_dynamic(
         e = epoch_of(t)
         if e > current_epoch:
             if params.audit:
-                g.check_invariants()
+                _audit_state(g, embeddings, policy.on_demand)
             if policy.periodic:
                 # One rebuild per boundary; every crossed epoch pays for one.
                 embeddings, msgs = periodic_rebuild(
@@ -457,7 +469,7 @@ def run_dynamic(
             metrics.transactions.append(pay.metric(out))
 
     if params.audit:
-        g.check_invariants()
+        _audit_state(g, embeddings, policy.on_demand)
     if g.total_reserved() != 0:
         raise InternalError("reservations leaked across the run")
     return metrics

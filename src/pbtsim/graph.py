@@ -58,11 +58,35 @@ class CreditGraph:
         self._adj: dict[NodeId, list[NodeId]] = {}
 
     @classmethod
-    def from_weights(cls, nodes: Iterable[NodeId], weights: dict[tuple[NodeId, NodeId], int]) -> CreditGraph:
-        """The graph of these nodes, in order, and positive non-self weights
-        between them; the neighbor lists come from one pass over the links."""
+    def from_rows(cls, rows: Iterable[tuple[NodeId, NodeId, int, int | None]]) -> CreditGraph:
+        """The graph of parsed snapshot rows (u, v, weight, limit).
+
+        Row rules: each row adds u, then v, as a node on its first appearance;
+        a row with a positive weight and u != v sets w(u, v), the last such
+        row of a pair winning; a zero-weight or self row adds only its nodes,
+        and keeps a link an earlier row set. The limit is not read.
+
+        One walk over the rows writes the links; the neighbor lists are then
+        filled from the links and sorted. Callers parse every row before they
+        call this. Both orders are about memory layout, not results: a build's
+        objects live as long as the run, laid out in the order they are made,
+        and at crawl size the tree build and routing that walk them ran
+        measurably slower when the graph was built while the rows were parsed
+        (among each row's short-lived objects) or when the neighbor lists were
+        made during the row walk (among the link entries).
+        """
         g = cls()
-        links = g._links = {key: [w, 0] for key, w in weights.items()}
+        links = g._links
+        nodes: dict[NodeId, None] = {}
+        for u, v, w, _ in rows:
+            nodes[u] = nodes[v] = None
+            if w > 0 and u != v:
+                key = (u, v)
+                entry = links.get(key)
+                if entry is None:
+                    links[key] = [w, 0]
+                else:
+                    entry[0] = w
         adj = g._adj = {v: [] for v in nodes}
         for u, v in links:
             if u < v or (v, u) not in links:
@@ -296,5 +320,6 @@ class CreditGraph:
                 raise InternalError(f"reservation {r} out of range on ({u}, {v}) weight {w}")
             if u not in self._adj or v not in self._adj:
                 raise InternalError(f"link ({u}, {v}) has an unknown endpoint")
-        if CreditGraph.from_weights(self._adj, dict.fromkeys(self._links, 1))._adj != self._adj:
+        rows = [(v, v, 0, None) for v in self._adj] + [(u, v, 1, None) for u, v in self._links]
+        if CreditGraph.from_rows(rows)._adj != self._adj:
             raise InternalError("neighbor lists differ from the links")

@@ -145,6 +145,8 @@ def parse_snapshot(text: str, *, ids: dict | None = None) -> SnapshotFile:
     has_limit = header == _SNAPSHOT_HEADERS[1]
     ids = {} if ids is None else ids
     node = ids.get  # `_node_id`'s lookup, inlined: most node id fields are here
+    # LinkRecord's own __new__ is a Python function; tuple's makes the same record.
+    record = tuple.__new__
     records = []
     for line, fields in rows:
         u = node(fields[0])
@@ -157,7 +159,7 @@ def parse_snapshot(text: str, *, ids: dict | None = None) -> SnapshotFile:
         limit = parse_credit(fields[3], line) if has_limit else None
         if weight < 0 or (limit is not None and limit < 0):
             raise ParseError("negative amount", line)
-        records.append(LinkRecord(u, v, weight, limit))
+        records.append(record(LinkRecord, (u, v, weight, limit)))
     return SnapshotFile(records, has_limit)
 
 
@@ -215,15 +217,10 @@ def serialize_link_changes(changes: list[LinkChangeEvent]) -> str:
 
 
 def build_graph(snapshot: SnapshotFile) -> CreditGraph:
-    """Materialize a credit graph: nodes in order of first appearance and,
-    per non-self pair, its last positive weight (zero rows add only nodes)."""
-    nodes: dict[NodeId, None] = {}
-    weights: dict[tuple[NodeId, NodeId], int] = {}
-    for u, v, weight, _ in snapshot.records:
-        nodes[u] = nodes[v] = None
-        if weight > 0 and u != v:
-            weights[u, v] = weight
-    return CreditGraph.from_weights(nodes, weights)
+    """Materialize a credit graph by `CreditGraph.from_rows`' row rules: nodes
+    in order of first appearance and, per non-self pair, its last positive
+    weight (zero rows add only nodes)."""
+    return CreditGraph.from_rows(snapshot.records)
 
 
 # ---- preprocessing ---------------------------------------------------------------

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pbtsim.credit import FRACTION_DIGITS, SCALE, credit, format_credit, parse_credit, parse_int
 from pbtsim.errors import ParseError
@@ -78,6 +78,13 @@ _amounts = st.one_of(
 )
 
 
+# A dot with no fraction, no whole part, a seventh fractional digit, leading
+# and trailing zeros, and a non-ASCII digit after a canonical whole part.
+@example("7.", None)
+@example(".5", 7)
+@example("7.1234567", None)
+@example("07.50", None)
+@example("7.٣", 7)
 @settings(max_examples=1000, deadline=None)
 @given(_amounts, st.sampled_from([None, 7]))
 def test_fast_paths_match_the_general_parsers(text, line):

@@ -267,7 +267,7 @@ def test_check_invariants_catches_a_parent_link_missing_from_the_graph(line_grap
 ], ids=["deep-coordinate", "landmark-coordinate", "landmark-parent", "detached-parent"])
 def test_check_invariants_catches_corruption(corrupt):
     emb, adj = random_tree_embedding(20, seed=3)
-    g = CreditGraph.from_weights(adj, {(v, n): credit(1) for v in adj for n in adj[v]})
+    g = CreditGraph.from_rows((v, n, credit(1), None) for v in adj for n in adj[v])
     emb.check_invariants(g)
     v = max(emb.coord, key=lambda x: len(emb.coord[x]))
     corrupt(emb, v, emb.parent[v])
@@ -283,7 +283,7 @@ def test_check_invariants_catches_parent_cycle():
     emb.parent[1] = 2
     emb.coord[1] = (5, 6, 5)
     emb.coord[2] = (5, 6)
-    g = CreditGraph.from_weights(range(3), {(u, v): credit(1) for u, v in ((0, 1), (1, 0), (1, 2), (2, 1))})
+    g = CreditGraph.from_rows((u, v, credit(1), None) for u, v in ((0, 1), (1, 0), (1, 2), (2, 1)))
     with pytest.raises(InternalError):
         emb.check_invariants(g)
 

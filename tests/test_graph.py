@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from pbtsim.credit import credit
@@ -466,22 +466,30 @@ def test_neighbor_lists_follow_the_links(steps):
         g.check_invariants()
 
 
+# The last positive weight of a pair wins and a zero row between keeps the
+# link; a self row adds its node first; a pair set in one direction only.
+@example(rows=[(0, 1, 3, None), (0, 1, 0, None), (0, 1, 1, None)])
+@example(rows=[(2, 2, 1, 4), (0, 2, 1, None)])
+@example(rows=[(0, 1, 1, 2)])
 @settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from([0, 1, 3])),
+@given(rows=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from([0, 1, 3]),
+                               st.sampled_from([None, 0, 2])),
                      max_size=30))
 def test_build_graph_equals_a_set_link_build(rows):
     """Same links in the same order, the same node order and the same lists
-    as adding each row's nodes and setting its positive non-self weight."""
-    g = build_graph(SnapshotFile([LinkRecord(u, v, credit(w)) for u, v, w in rows]))
+    as adding each row's nodes and setting its positive non-self weight; a
+    row's limit changes nothing."""
+    g = build_graph(SnapshotFile([
+        LinkRecord(u, v, credit(w), None if limit is None else credit(limit)) for u, v, w, limit in rows]))
     ref = CreditGraph()
-    for u, v, w in rows:
+    for u, v, w, _ in rows:
         ref.add_node(u)
         ref.add_node(v)
         if w and u != v:
             ref.set_link(u, v, credit(w))
     assert list(g._links.items()) == list(ref._links.items())
     assert list(g.nodes) == list(ref.nodes)
-    assert g._adj == ref._adj
+    assert list(g._adj.items()) == list(ref._adj.items())
     g.check_invariants()
 
 

@@ -1,10 +1,10 @@
 """Source guards: the package imports only the standard library, no file
 imports a name it never reads, the package root imports nothing, one loop
-writes the credit ledger, only the graph writes link weights, one function
-runs the landmarks' min computation, both max-flow searches push with one
-augmentation step, one greedy walk calls next_hop, the engine builds a
-run's first trees in one place, node ids are parsed in one place, and
-every random draw comes from a seeded stream."""
+writes the credit ledger, only the graph writes link weights and its link
+and neighbor maps, one function runs the landmarks' min computation, both
+max-flow searches push with one augmentation step, one greedy walk calls
+next_hop, the engine builds a run's first trees in one place, node ids are
+parsed in one place, and every random draw comes from a seeded stream."""
 
 import ast
 import pathlib
@@ -73,11 +73,63 @@ def test_only_settle_reserves_releases_or_commits():
 
 
 def test_only_the_graph_writes_weights_directly():
-    """Everything outside graph.py goes through set_link or from_weights, so
-    the graph alone keeps its neighbor lists in step with its links."""
+    """Everything outside graph.py goes through set_link or the row
+    constructor `from_rows`, so the graph alone keeps its neighbor lists in
+    step with its links."""
     calls = {path.name for path in SOURCES for _ in callers(path, {"_set_weight"})}
     assert calls == {"graph.py"}
     assert [path.name for path in SOURCES if "_set_weight" in path.read_text(encoding="utf-8")] == ["graph.py"]
+
+
+GRAPH_MAPS = {"_links", "_adj"}
+
+
+def map_writes(path):
+    """Line of every statement that assigns or deletes a `_links` or `_adj`
+    attribute, or an item of one (at any depth)."""
+    def writes(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(writes(t) for t in target.elts)
+        if isinstance(target, ast.Starred):
+            return writes(target.value)
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        return isinstance(target, ast.Attribute) and target.attr in GRAPH_MAPS
+
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(writes(t) for t in targets):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_graph_builds_its_maps():
+    """No file but graph.py writes a graph's link map or neighbor lists: the
+    graph's row constructor builds them and its own methods change them."""
+    writes = [f"{path.name}:{line}" for path in SOURCES for line in map_writes(path)]
+    assert writes
+    assert [w for w in writes if not w.startswith("graph.py:")] == []
+
+
+def test_map_guard_sees_every_form_of_the_write(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "g._links = {}\n"
+        "g._adj[0] = []\n"
+        "g._links[0, 1][0] += 5\n"
+        "a, g._adj = 1, {}\n"
+        "del g._links[0, 1]\n"
+        "g._adj: dict = {}\n"
+        "x = g._links[0, 1]\n"
+        "links = g._links\n"
+    )
+    assert map_writes(source) == [1, 2, 3, 4, 5, 6]
 
 
 def test_only_landmark_min_runs_the_min_computation():
