@@ -177,12 +177,19 @@ def mpc_min_assign(
     path never receives more, so each round caps at least one more path
     for good. Once k-1 of the k paths are capped, the last one holds at
     most its minimum, as the minima cover c. So the shares fit after at
-    most k-1 rounds, and a k-th round is an ``InternalError``.
+    most k-1 rounds, and a k-th round is an ``InternalError``. The minima
+    are read straight from the ledger; a missing or empty path's is 0.
     """
-    z = [
-        min((g.available(x, y) for x, y in path), default=0) if path is not None else 0
-        for path in paths
-    ]
+    links_get = g._links.get
+    z = []
+    for path in paths:
+        low = None
+        for hop in path or ():
+            entry = links_get(hop)
+            available = entry[0] - entry[1] if entry else 0
+            if low is None or available < low:
+                low = available
+        z.append(low or 0)
     if sum(z) < c:
         return None
     shares = split_value(c, len(paths), rng)
@@ -459,24 +466,27 @@ def _landmark_min(
     exchange = 0
     results = 0
     for emb in embeddings:
-        if not emb.attached(src) or not emb.attached(dst):
+        coord = emb.coord
+        c_src, c_dst = coord.get(src), coord.get(dst)
+        if c_src is None or c_dst is None:
             return None, 0, 0
-        d_src, d_dst = emb.depth(src), emb.depth(dst)
+        d_src, d_dst = len(c_src), len(c_dst)
         if include_src:
             messages += d_src
-            collect = max(collect, d_src)
+            collect = d_src if d_src > collect else collect
         messages += d_dst
-        collect = max(collect, d_dst)
+        collect = d_dst if d_dst > collect else collect
         for other in embeddings:
             if other is emb:
                 continue
-            peer_coord = emb.coord.get(other.landmark)
+            peer_coord = coord.get(other.landmark)
             if peer_coord is None:
                 return None, 0, 0
-            messages += len(peer_coord)
-            exchange = max(exchange, len(peer_coord))
+            d_peer = len(peer_coord)
+            messages += d_peer
+            exchange = d_peer if d_peer > exchange else exchange
         messages += d_src
-        results = max(results, d_src)
+        results = d_src if d_src > results else results
     return mpc_min_assign(g, paths, value, rng), messages, collect + exchange + results
 
 

@@ -225,14 +225,18 @@ class Embedding:
 
     def path_to_landmark(self, node: NodeId) -> list[NodeId]:
         """Node list from node up to the landmark, inclusive."""
+        parent_get, landmark = self.parent.get, self.landmark
         chain = [node]
-        seen = {node}
-        while chain[-1] != self.landmark:
-            p = self.parent.get(chain[-1])
-            if p is None or p in seen:
-                raise InternalError(f"broken parent chain at {chain[-1]} in tree {self.tree_index}")
-            chain.append(p)
-            seen.add(p)
+        x = node
+        for _ in range(len(self.parent)):  # one step per node with a parent; more is a cycle
+            if x == landmark:
+                break
+            x = parent_get(x)
+            if x is None:
+                break
+            chain.append(x)
+        if x != landmark:
+            raise InternalError(f"broken parent chain at {chain[-1]} in tree {self.tree_index}")
         return chain
 
     def tree_path(self, a: NodeId, b: NodeId) -> list[NodeId]:

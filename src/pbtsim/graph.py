@@ -208,29 +208,55 @@ class CreditGraph:
         Every link on the path must hold a reservation of at least c.
         Returns the directed weight deltas in application order so a
         static-mode run can restore the exact prior state.
+
+        Each hop reads its forward and reverse entries once and writes a
+        weight that stays positive in place. Only a forward link drained to
+        zero, a reverse link created or an over-reservation takes ``_set_weight``.
         """
         path = list(path)
         if c == 0:
             return []
-        for x, y in path:
-            if self.reserved(x, y) < c:
-                raise InternalError(f"commit without reservation on ({x}, {y})")
+        links = self._links
+        get = links.get
+        for hop in path:
+            entry = get(hop)
+            if entry is None or entry[1] < c:
+                raise InternalError(f"commit without reservation on ({hop[0]}, {hop[1]})")
+        new = tuple.__new__
         deltas: list[LinkDelta] = []
-        for x, y in path:
-            entry = self._links[(x, y)]
+        for hop in path:
+            x, y = hop
+            entry = links[hop]
             entry[1] -= c
             fwd_old = entry[0]
-            self._set_weight(x, y, fwd_old - c)
-            rev_old = self.weight(y, x)
-            self._set_weight(y, x, rev_old + c)
-            deltas.append(LinkDelta(x, y, fwd_old, fwd_old - c))
-            deltas.append(LinkDelta(y, x, rev_old, rev_old + c))
+            fwd_new = fwd_old - c
+            if fwd_new > 0 and entry[1] <= fwd_new:
+                entry[0] = fwd_new
+            else:
+                self._set_weight(x, y, fwd_new)
+            rev = get((y, x))
+            rev_old = rev[0] if rev else 0
+            rev_new = rev_old + c
+            if rev and rev_new > 0 and rev[1] <= rev_new:
+                rev[0] = rev_new
+            else:
+                self._set_weight(y, x, rev_new)
+            deltas.append(new(LinkDelta, (x, y, fwd_old, fwd_new)))
+            deltas.append(new(LinkDelta, (y, x, rev_old, rev_new)))
         return deltas
 
     def rollback_weights(self, deltas: Iterable[LinkDelta]) -> None:
-        """Undo a sequence of weight deltas (applied in reverse order)."""
-        for d in reversed(list(deltas)):
-            self._set_weight(d.u, d.v, d.old)
+        """Undo a sequence of weight deltas (applied in reverse order).
+
+        Only a removal, a re-creation or an over-reservation takes ``_set_weight``.
+        """
+        get = self._links.get
+        for u, v, old, _ in reversed(list(deltas)):
+            entry = get((u, v))
+            if entry and old > 0 and entry[1] <= old:
+                entry[0] = old
+            else:
+                self._set_weight(u, v, old)
 
     # ---- derived quantities ----------------------------------------------
 

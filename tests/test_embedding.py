@@ -170,6 +170,19 @@ def test_tree_validity_and_coordinate_agreement():
             assert len(chain) <= len(g.nodes)
 
 
+@pytest.mark.parametrize("parent, at", [
+    ({4: 0, 1: 2, 2: 3, 3: 1}, "[123]"),  # a parent cycle that avoids the landmark
+    ({4: 0, 1: 2, 2: 5}, "5"),  # 5 has no parent
+])
+def test_path_to_landmark_rejects_a_broken_parent_chain(parent, at):
+    emb = Embedding(6, landmark=0)
+    emb.parent.update(parent)
+    assert emb.path_to_landmark(4) == [4, 0]
+    assert emb.path_to_landmark(0) == [0]
+    with pytest.raises(InternalError, match=rf"^broken parent chain at {at} in tree 6$"):
+        emb.path_to_landmark(1)
+
+
 def test_build_is_deterministic():
     g = random_graph(40, 20, seed=2)
     a = build_embeddings(g, [0], seed=77)[0]

@@ -338,7 +338,9 @@ def small_workloads(draw):
     Links are (u, v, forward, backward) credits, a zero backward credit
     leaving a one-way link. Events interleave payments, some with unknown
     endpoints, and link changes that remove, re-create and reweigh links
-    and add nodes 12 to 14.
+    and add nodes 12 to 14. Some changes zero both directions of an initial
+    link at one time, which can cut a tree's parent link; independent random
+    ends rarely do.
     """
     n = draw(st.integers(4, 12))
     node = st.integers(0, n - 1)
@@ -352,6 +354,9 @@ def small_workloads(draw):
                        st.sampled_from([0, 0, credit(1), credit(5), credit(20)]))
     events = draw(st.lists(payment, min_size=1, max_size=12))
     events += [c for c in draw(st.lists(change, max_size=12)) if c.u != c.v]
+    for t, (u, v, _, _) in draw(st.lists(st.tuples(time, st.sampled_from(links)), max_size=3)):
+        if u != v:
+            events += [LinkChangeEvent(t, u, v, 0), LinkChangeEvent(t, v, u, 0)]
     events = sorted(events, key=lambda e: e.time)
     params = SimParams(
         trees=draw(st.integers(1, 3)), attempts=draw(st.integers(1, 3)),

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from pbtsim.credit import credit
 from pbtsim.errors import ConfigError, InternalError
-from pbtsim.graph import CreditGraph
+from pbtsim.graph import CreditGraph, LinkDelta
 from pbtsim.workload import LinkRecord, SnapshotFile, build_graph, preprocess
 
 from conftest import random_graph
@@ -135,6 +136,35 @@ def test_commit_requires_reservation():
     g.set_link(0, 1, credit(5))
     with pytest.raises(InternalError):
         g.commit_payment([(0, 1)], credit(1))
+
+
+def test_commit_names_a_hop_without_its_reservation():
+    g = CreditGraph()
+    g.set_link(0, 1, credit(5))
+    g.set_link(1, 2, credit(5))
+    g.reserve(0, 1, credit(2))
+    g.reserve(1, 2, credit(1))
+    before = {k: list(e) for k, e in g._links.items()}
+    for path in ([(0, 1), (1, 2)], [(0, 1), (2, 0)]):  # short, and missing
+        with pytest.raises(InternalError, match=f"^commit without reservation on {re.escape(str(path[1]))}$"):
+            g.commit_payment(path, credit(2))
+        assert {k: list(e) for k, e in g._links.items()} == before  # nothing written
+
+
+def test_commit_and_rollback_refuse_a_reservation_above_the_new_weight():
+    g = CreditGraph()
+    g.set_link(0, 1, credit(5))
+    g._links[(0, 1)][1] = credit(6)  # a ledger broken on purpose
+    with pytest.raises(InternalError, match=r"^reservation 4000000 exceeds new weight 3000000 on \(0, 1\)$"):
+        g.commit_payment([(0, 1)], credit(2))
+    g = CreditGraph()
+    g.set_link(0, 1, credit(5))
+    g.set_link(1, 0, credit(1))
+    g.reserve(0, 1, credit(4))
+    deltas = g.commit_payment([(0, 1)], credit(4))
+    g.reserve(1, 0, credit(5))  # more than the weight the rollback restores
+    with pytest.raises(InternalError, match=r"^reservation 5000000 exceeds new weight 1000000 on \(1, 0\)$"):
+        g.rollback_weights(deltas)
 
 
 def test_commit_preserves_intermediate_balance():
@@ -351,7 +381,9 @@ class LedgerMachine(RuleBasedStateMachine):
     """Random reserve/release/commit/rollback/set_link on a 5-node graph.
 
     ``held`` is the test's own record of outstanding reservations; it must
-    match the graph's ledger after every step.
+    match the graph's ledger after every step. Every commit and rollback is
+    also replayed on a clone through ``release`` and ``set_link``, and the
+    two graphs must agree.
     """
 
     def __init__(self):
@@ -400,10 +432,16 @@ class LedgerMachine(RuleBasedStateMachine):
         self.g.release(*key, c)
         self.held[key] -= c
 
+    @rule(u=NODES, v=NODES)
+    def reserve_available(self, u, v):
+        """Reserve all a link has left, so a commit along it drains it to zero."""
+        self.reserve(u, v, self.g.available(u, v))
+
     @precondition(lambda self: any(self.held.values()))
     @rule(data=st.data())
     def commit_payment(self, data):
-        # A chain of distinct reserved links, starting at a random held one.
+        # A chain of distinct reserved links, starting at a random held one; a
+        # hop may be the reverse of the hop before.
         path = [self.held_link(data)]
         while len(path) < 3:
             nxt = sorted(k for k, r in self.held.items()
@@ -411,14 +449,46 @@ class LedgerMachine(RuleBasedStateMachine):
             if not nxt or not data.draw(st.booleans()):
                 break
             path.append(data.draw(st.sampled_from(nxt)))
-        c = data.draw(st.integers(1, min(self.held[k] for k in path)))
+        self.commit(path, data)
+
+    def there_and_back(self):
+        return sorted(k for k, r in self.held.items() if r and self.held.get((k[1], k[0])))
+
+    @precondition(lambda self: self.there_and_back())
+    @rule(data=st.data())
+    def commit_there_and_back(self, data):
+        """A link, then its reverse: a landmark path turning at a common ancestor."""
+        x, y = data.draw(st.sampled_from(self.there_and_back()))
+        self.commit([(x, y), (y, x)], data)
+
+    def commit(self, path, data):
+        # Often all that is held, which drains a link reserved in full.
+        most = min(self.held[k] for k in path)
+        c = data.draw(st.one_of(st.just(most), st.integers(1, most)))
         before = self.weights()
         pair_sums = self.pair_sums(path)
+        ref, adj = self.g.clone(), dict(self.g._adj)
         deltas = self.g.commit_payment(path, c)
+        ref_deltas = []
+        for x, y in path:
+            ref.release(x, y, c)
+            ref_deltas.append(ref.set_link(x, y, ref.weight(x, y) - c))
+            ref_deltas.append(ref.set_link(y, x, ref.weight(y, x) + c))
+        assert deltas == ref_deltas
+        assert all(type(d) is LinkDelta for d in deltas)
+        self.same_as(ref, adj)
         for key in path:
             self.held[key] -= c
         assert self.pair_sums(path) == pair_sums
         self.last_commit = (deltas, before)
+
+    def same_as(self, ref, adj):
+        """The graph equals the reference replay: its links in order, its
+        neighbor lists, and which of the lists in adj it replaced."""
+        g = self.g
+        assert list(g._links.items()) == list(ref._links.items())
+        assert list(g._adj.items()) == list(ref._adj.items())
+        assert [g._adj[v] is ns for v, ns in adj.items()] == [ref._adj[v] is ns for v, ns in adj.items()]
 
     def pair_sums(self, path):
         """w(u, v) + w(v, u) of every node pair the path touches."""
@@ -429,7 +499,11 @@ class LedgerMachine(RuleBasedStateMachine):
     def rollback_weights(self):
         deltas, before = self.last_commit
         self.last_commit = None
+        ref, adj = self.g.clone(), dict(self.g._adj)
         self.g.rollback_weights(deltas)
+        for u, v, old, _ in reversed(deltas):
+            ref.set_link(u, v, old)
+        self.same_as(ref, adj)
         assert self.weights() == before
 
     @invariant()
