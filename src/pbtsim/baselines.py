@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass
 
-from .embedding import Embedding, ReturnAddress
+from .embedding import Embedding, ReturnAddress, common_prefix_len
 from .errors import ConfigError, InternalError
 from .graph import CreditGraph, NodeId
 from .routing import (
@@ -126,16 +125,9 @@ def grid_policies() -> list[RoutingPolicy]:
 
 
 # ---- structural path construction ------------------------------------------
-
-
-def _tree_paths(embeddings: list[Embedding], src: NodeId, dst: NodeId,
-                nodes_of: Callable[[Embedding], list[NodeId]]) -> list[Path | None]:
-    """Per tree: None where either endpoint is unattached, else the hops of nodes_of(tree)."""
-    paths: list[Path | None] = []
-    for emb in embeddings:
-        nodes = nodes_of(emb) if emb.attached(src) and emb.attached(dst) else None
-        paths.append(None if nodes is None else list(zip(nodes, nodes[1:])))
-    return paths
+# Both rules build a tree's path from the endpoints' cached hops
+# (``Embedding.landmark_hops``), so a tree walks each endpoint's parent chain
+# once per change, not once per attempt.
 
 
 def landmark_paths(
@@ -146,15 +138,36 @@ def landmark_paths(
     The concatenation may revisit nodes; that is inherent to the scheme.
     Trees where either endpoint is unattached yield None.
     """
-    return _tree_paths(embeddings, src, dst, lambda emb: (
-        emb.path_to_landmark(src) + emb.path_to_landmark(dst)[::-1][1:]))
+    paths: list[Path | None] = []
+    for emb in embeddings:
+        coord = emb.coord
+        if src in coord and dst in coord:
+            paths.append([*emb.landmark_hops(src)[0], *emb.landmark_hops(dst)[1]])
+        else:
+            paths.append(None)
+    return paths
 
 
 def tree_only_paths(
     embeddings: list[Embedding], src: NodeId, dst: NodeId
 ) -> list[Path | None]:
-    """Per tree: the unique tree path through the lowest common ancestor."""
-    return _tree_paths(embeddings, src, dst, lambda emb: emb.tree_path(src, dst))
+    """Per tree: the unique tree path through the lowest common ancestor.
+
+    The endpoints' chains share their hops from the landmark down to the
+    lowest common ancestor, and the path is both chains without them.
+    Trees where either endpoint is unattached yield None.
+    """
+    paths: list[Path | None] = []
+    for emb in embeddings:
+        coord = emb.coord
+        if src in coord and dst in coord:
+            up, down_src = emb.landmark_hops(src)
+            down = emb.landmark_hops(dst)[1]
+            shared = common_prefix_len(down_src, down)
+            paths.append([*up[: len(up) - shared], *down[shared:]])
+        else:
+            paths.append(None)
+    return paths
 
 
 # ---- min-based credit assignment -------------------------------------------

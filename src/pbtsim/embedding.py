@@ -33,6 +33,7 @@ from .errors import ConfigError, InternalError
 from .graph import CreditGraph, NodeId
 
 Coordinate = tuple[int, ...]
+Hops = tuple[tuple[NodeId, NodeId], ...]
 
 DEFAULT_ELEMENT_BITS = 128
 # Padded address length; routing pads to the smallest multiple of it that holds
@@ -46,7 +47,8 @@ def derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def common_prefix_len(a: Coordinate, b: Coordinate) -> int:
+def common_prefix_len(a: tuple, b: tuple) -> int:
+    """Length of the longest common prefix of two coordinates (or hop tuples)."""
     n = 0
     for x, y in zip(a, b):
         if x != y:
@@ -153,6 +155,12 @@ class Embedding:
     rollback_undo add every node whose coordinate they change to ``moved``,
     for the staleness rule in the ``routing`` module docstring. A fresh
     embedding has no indexes.
+
+    ``landmark_hops`` caches each node's hops to and from the landmark,
+    which both structural path rules read. A move can change the chain of
+    every node below the moved one, so the whole cache is emptied on every
+    attach and detach, and by a rollback_undo that undoes anything. A
+    rebuild makes new embeddings, whose caches start empty.
     """
 
     def __init__(
@@ -170,6 +178,7 @@ class Embedding:
         self._journal: list[tuple] | None = None
         self.neighbor_index: dict[NodeId, tuple] = {}
         self.moved: set[NodeId] = set()
+        self._hops: dict[NodeId, tuple[Hops, Hops]] = {}
 
     # -- undo journal (static-mode transaction isolation) --
 
@@ -177,7 +186,9 @@ class Embedding:
         self._journal = []
 
     def _record(self, node: NodeId) -> None:
-        """Journal the node's state and mark it moved before a mutation changes it."""
+        """Journal the node's state, mark it moved and empty the hop cache before a
+        mutation changes it."""
+        self._hops.clear()
         if self._journal is not None:
             self._journal.append(
                 (node, self.parent.get(node), self.coord.get(node), self.prev_coord.get(node))
@@ -189,6 +200,8 @@ class Embedding:
         """Restore the exact state captured since begin_undo."""
         if self._journal is None:
             raise InternalError("rollback without begin_undo")
+        if self._journal:
+            self._hops.clear()
         if self.neighbor_index:
             self.moved.update(entry[0] for entry in self._journal)
         for node, old_parent, old_coord, old_prev in reversed(self._journal):
@@ -239,15 +252,19 @@ class Embedding:
             raise InternalError(f"broken parent chain at {chain[-1]} in tree {self.tree_index}")
         return chain
 
-    def tree_path(self, a: NodeId, b: NodeId) -> list[NodeId]:
-        """Unique tree path a .. lowest-common-ancestor .. b."""
-        up_a = self.path_to_landmark(a)
-        up_b = self.path_to_landmark(b)
-        ancestors_a = {n: i for i, n in enumerate(up_a)}
-        for j, n in enumerate(up_b):
-            if n in ancestors_a:
-                return up_a[: ancestors_a[n] + 1] + up_b[:j][::-1]
-        raise InternalError(f"no common ancestor for {a} and {b} in tree {self.tree_index}")
+    def landmark_hops(self, node: NodeId) -> tuple[Hops, Hops]:
+        """(up, down): the hops from the attached node up to the landmark, and
+        the same hops reversed, from the landmark down to it.
+
+        Walked with ``path_to_landmark`` on first use and cached until the
+        tree changes (see the class docstring).
+        """
+        hops = self._hops.get(node)
+        if hops is None:
+            chain = self.path_to_landmark(node)
+            up = tuple(zip(chain, chain[1:]))
+            hops = self._hops[node] = (up, tuple((b, a) for a, b in reversed(up)))
+        return hops
 
     def check_invariants(self, g: CreditGraph) -> None:
         """Raise InternalError unless the tree is consistent.

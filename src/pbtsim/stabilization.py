@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .embedding import Embedding, build_embeddings, is_prefix
+from .embedding import Embedding, build_embeddings
 from .graph import CreditGraph, NodeId
 
 
@@ -43,26 +43,40 @@ def choose_parent(
     node's previous coordinate (that would re-enter the old subtree and
     risk a cycle). Neighbors with positive weight in both directions are
     preferred; within the preferred class the shortest coordinate wins,
-    ties broken uniformly at random.
+    ties broken uniformly at random among them in ascending id.
+
+    One pass over the neighbor list keeps, per class, the shortest depth
+    so far and its ties, with ``is_prefix`` and ``g.bidirectional``
+    inlined.
     """
     prev = emb.prev_coord.get(n)
+    k = 0 if prev is None else len(prev)
+    coord_get = emb.coord.get
+    links = g._links
     bidi: list[NodeId] = []
     uni: list[NodeId] = []
-    for cand in g.neighbors(n):
-        coord = emb.coord.get(cand)
+    bidi_depth = uni_depth = 0
+    for cand in g._adj[n]:
+        coord = coord_get(cand)
         if coord is None:
             continue
-        if prev is not None and is_prefix(prev, coord):
+        depth = len(coord)
+        if prev is not None and k <= depth and coord[:k] == prev:
             continue
-        if g.bidirectional(n, cand):
-            bidi.append(cand)
-        else:
+        if (n, cand) in links and (cand, n) in links:
+            if not bidi or depth < bidi_depth:
+                bidi = [cand]
+                bidi_depth = depth
+            elif depth == bidi_depth:
+                bidi.append(cand)
+        elif not uni or depth < uni_depth:
+            uni = [cand]
+            uni_depth = depth
+        elif depth == uni_depth:
             uni.append(cand)
-    pool = bidi if bidi else uni
-    if not pool:
+    ties = bidi or uni
+    if not ties:
         return None
-    best = min(len(emb.coord[c]) for c in pool)
-    ties = [c for c in pool if len(emb.coord[c]) == best]
     return ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
 
 
@@ -149,8 +163,8 @@ def on_link_change(
     the change was absorbed without any coordinate churn (and without
     messages).
     """
-    if old == new:
-        return []
+    if old == new or old > 0 and new > 0:
+        return []  # a weight change that neither opens nor closes the link resets nothing
     reports = []
     for emb in embeddings:
         reset = _reset_for_tree(g, emb, u, v, old, new)

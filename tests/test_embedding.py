@@ -20,7 +20,7 @@ from pbtsim.embedding import (
 from pbtsim.errors import ConfigError, InternalError
 from pbtsim.graph import CreditGraph
 
-from conftest import random_graph
+from conftest import bi_link, random_graph
 
 
 def bfs_hops(adj, a, b):
@@ -319,6 +319,24 @@ def test_undo_journal_round_trip():
     assert dict(emb.parent) == state[0]
     assert dict(emb.coord) == state[1]
     assert dict(emb.prev_coord) == state[2]
+
+
+def test_hop_cache_follows_a_move_and_its_rollback():
+    """A cached chain is dropped when a move or its rollback changes it."""
+    g = CreditGraph()
+    for u, v in ((0, 1), (1, 2), (2, 3), (0, 4), (4, 2)):
+        bi_link(g, u, v)
+    emb = build_embeddings(g, [0], seed=1)[0]
+    before = emb.landmark_hops(3)
+    assert before == (((3, 2), (2, 1), (1, 0)), ((0, 1), (1, 2), (2, 3)))
+    emb.begin_undo()
+    emb.detach(3)
+    emb.detach(2)
+    emb.attach(2, 4, 7)
+    emb.attach(3, 2, 8)
+    assert emb.landmark_hops(3) == (((3, 2), (2, 4), (4, 0)), ((0, 4), (4, 2), (2, 3)))
+    emb.rollback_undo()
+    assert emb.landmark_hops(3) == before
 
 
 # ---- phase two and liveness over graphs with one-way links ----------------------

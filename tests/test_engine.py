@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from pbtsim import embedding, engine, stabilization
 from pbtsim.baselines import MAX_FLOW_POLICY, GreedyExecutor, grid_policies, parse_policy
 from pbtsim.credit import SCALE, credit
+from pbtsim.embedding import Embedding
 from pbtsim.engine import (
     LinkChangeEvent,
     SimParams,
@@ -370,6 +371,18 @@ def records(m):
     return [t.__dict__ for t in m.transactions], [e.__dict__ for e in m.epochs]
 
 
+def workload_graph(n, links):
+    """The graph of nodes 0..n-1 and the (u, v, forward, backward) links of a small workload."""
+    g = CreditGraph()
+    for v in range(n):
+        g.add_node(v)
+    for u, v, forward, backward in links:
+        if u != v:
+            g.set_link(u, v, credit(forward))
+            g.set_link(v, u, credit(backward))
+    return g
+
+
 # Two components whose top-degree nodes 1 and 10 become the landmarks: every
 # payment between 0 and 2 meets an unattached peer landmark under MUL.
 @example(
@@ -399,13 +412,7 @@ def records(m):
 def test_whole_random_runs_match_with_audit_on_and_off(workload):
     # A broken ledger or tree invariant, or a failed audit, raises InternalError.
     n, links, events, params = workload
-    g = CreditGraph()
-    for v in range(n):
-        g.add_node(v)
-    for u, v, forward, backward in links:
-        if u != v:
-            g.set_link(u, v, credit(forward))
-            g.set_link(v, u, credit(backward))
+    g = workload_graph(n, links)
     payments = [e for e in events if isinstance(e, TransactionEvent)]
     before = graph_state(g)
     for policy in grid_policies() + [MAX_FLOW_POLICY]:
@@ -414,3 +421,36 @@ def test_whole_random_runs_match_with_audit_on_and_off(workload):
             audited = run(g, evs, policy, dataclasses.replace(params, audit=True))
             assert records(audited) == records(plain), (policy.label, run.__name__)
             assert graph_state(g) == before
+
+
+def walked_hops(emb, node):
+    """``Embedding.landmark_hops`` without its cache: the chain is walked on every call."""
+    chain = emb.path_to_landmark(node)
+    up = tuple(zip(chain, chain[1:]))
+    return up, tuple((b, a) for a, b in reversed(up))
+
+
+# Node 2 hangs under 1 until the link 1 -> 2 goes; the repair moves it under 3,
+# and the second payment must climb 2-3-0, not along the removed link 1-2.
+@example(
+    (5, [(0, 1, 5, 5), (1, 2, 5, 5), (0, 3, 5, 5), (3, 2, 5, 5), (0, 4, 5, 5)],
+     [TransactionEvent(0, credit(1), 2, 4), LinkChangeEvent(SCALE, 1, 2, 0),
+      LinkChangeEvent(SCALE, 2, 1, 0), TransactionEvent(2 * SCALE, credit(1), 2, 4)],
+     SimParams(trees=1, attempts=1, epoch=1, seed=0)),
+)
+@settings(max_examples=100, deadline=None)
+@given(workload=small_workloads())
+def test_cached_landmark_hops_match_a_walk_per_call(workload):
+    """A hop cache left stale by a repair or a rollback changes some run's paths."""
+    n, links, events, params = workload
+    g = workload_graph(n, links)
+    payments = [e for e in events if isinstance(e, TransactionEvent)]
+    for label in ("LM-MUL-OND", "LM-RAND-OND", "TO-MUL-PER", "TO-RAND-OND"):
+        policy = parse_policy(label)
+        for run, evs in ((run_static, payments), (run_dynamic, events)):
+            cached = records(run(g, evs, policy, params))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(Embedding, "landmark_hops", walked_hops)
+                walked = records(run(g, evs, policy, params))
+            same = cached == walked  # a bare flag: a diff of whole runs slows shrinking
+            assert same, (label, run.__name__)

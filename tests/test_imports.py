@@ -1,10 +1,11 @@
 """Source guards: the package imports only the standard library, no file
 imports a name it never reads, the package root imports nothing, one loop
 writes the credit ledger, only the graph writes link weights and its link
-and neighbor maps, one function runs the landmarks' min computation, both
-max-flow searches push with one augmentation step, one greedy walk calls
-next_hop, the engine builds a run's first trees in one place, node ids are
-parsed in one place, and every random draw comes from a seeded stream."""
+and neighbor maps, only the embedding writes its tree maps, one function
+runs the landmarks' min computation, both max-flow searches push with one
+augmentation step, one greedy walk calls next_hop, the engine builds a
+run's first trees in one place, node ids are parsed in one place, and every
+random draw comes from a seeded stream."""
 
 import ast
 import pathlib
@@ -82,11 +83,12 @@ def test_only_the_graph_writes_weights_directly():
 
 
 GRAPH_MAPS = {"_links", "_adj"}
+TREE_MAPS = {"parent", "coord", "prev_coord"}
 
 
-def map_writes(path):
-    """Line of every statement that assigns or deletes a `_links` or `_adj`
-    attribute, or an item of one (at any depth)."""
+def map_writes(path, attrs=GRAPH_MAPS):
+    """Line of every statement that assigns or deletes an attribute named in
+    attrs, or an item of one (at any depth)."""
     def writes(target):
         if isinstance(target, (ast.Tuple, ast.List)):
             return any(writes(t) for t in target.elts)
@@ -94,7 +96,7 @@ def map_writes(path):
             return writes(target.value)
         while isinstance(target, ast.Subscript):
             target = target.value
-        return isinstance(target, ast.Attribute) and target.attr in GRAPH_MAPS
+        return isinstance(target, ast.Attribute) and target.attr in attrs
 
     lines = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
@@ -130,6 +132,26 @@ def test_map_guard_sees_every_form_of_the_write(tmp_path):
         "links = g._links\n"
     )
     assert map_writes(source) == [1, 2, 3, 4, 5, 6]
+    source.write_text(
+        "emb.coord[4] = (1,)\n"
+        "del emb.parent[4]\n"
+        "emb.prev_coord[4], x = (), 1\n"
+        "emb.coord = {}\n"
+        "g._adj[0] = []\n"
+        "c = emb.coord[4]\n"
+        "emb.parent.get(4)\n"
+    )
+    assert map_writes(source, TREE_MAPS) == [1, 2, 3, 4]
+
+
+def test_only_the_embedding_writes_its_trees():
+    """No file but embedding.py writes a tree's parent, coordinate or
+    previous-coordinate map, so attach, detach and rollback_undo see every
+    change: the neighbor indexes' staleness rule and the hop cache rest on
+    that."""
+    writes = [f"{path.name}:{line}" for path in SOURCES for line in map_writes(path, TREE_MAPS)]
+    assert writes
+    assert [w for w in writes if not w.startswith("embedding.py:")] == []
 
 
 def test_only_landmark_min_runs_the_min_computation():

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from pbtsim.credit import credit
-from pbtsim.embedding import build_embeddings
+from pbtsim.embedding import build_embeddings, is_prefix
 from pbtsim.graph import CreditGraph
 from pbtsim.stabilization import choose_parent, on_link_change, periodic_rebuild
 
@@ -176,6 +176,48 @@ def test_choose_parent_shortest_coordinate_within_class(rng):
         g.set_link(cand, n, credit(5))
         g.set_link(n, cand, credit(5))
     assert choose_parent(g, emb, n, rng) == 1  # depth 1 beats depth 2
+
+
+def reference_parent(g, emb, n, rng):
+    """choose_parent as two passes: collect each class, then draw among its shortest."""
+    prev = emb.prev_coord.get(n)
+    bidi, uni = [], []
+    for cand in g.neighbors(n):
+        coord = emb.coord.get(cand)
+        if coord is None or prev is not None and is_prefix(prev, coord):
+            continue
+        (bidi if g.bidirectional(n, cand) else uni).append(cand)
+    pool = bidi or uni
+    if not pool:
+        return None
+    best = min(len(emb.coord[c]) for c in pool)
+    ties = [c for c in pool if len(emb.coord[c]) == best]
+    return ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    links=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14), st.integers(1, 5),
+                             st.sampled_from([0, 0, 5])), min_size=15, max_size=60),
+    detach=st.lists(st.integers(1, 14), min_size=1, max_size=3),
+    seed=st.integers(0, 99),
+)
+def test_choose_parent_matches_the_two_pass_reference(links, detach, seed):
+    """Same pick and same draws, with one-way links, stale previous coordinates and ties."""
+    g = CreditGraph()
+    g.add_node(0)
+    for u, v, forward, backward in links:
+        if u != v:
+            g.set_link(u, v, credit(forward))
+            g.set_link(v, u, credit(backward))
+    emb = build_embeddings(g, [0], seed=seed)[0]
+    for v in detach:
+        if emb.attached(v):
+            emb.detach(v)  # its descendants keep coordinates extending the old one
+    for n in sorted(g.nodes):  # attached nodes too: more candidates and ties to compare
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert choose_parent(g, emb, n, fast) == reference_parent(g, emb, n, slow)
+        assert fast.getstate() == slow.getstate()
 
 
 # ---- periodic rebuild ------------------------------------------------------------
